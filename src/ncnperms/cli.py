@@ -66,6 +66,7 @@ class OutputRecord:
     command: str
     parameters: dict
     results: tuple[Result, ...]
+    table: SequenceTable | None = None  # what `seq` emits in a non-plain format
 
     def to_json(self) -> str:
         return json.dumps(
@@ -123,12 +124,14 @@ def _check_table_cap(limit: int, force: bool) -> None:
         )
 
 
+def _table_provenance(family: str) -> Provenance:
+    return Provenance.CLOSED_FORM if family.startswith("q122") else Provenance.RECURRENCE
+
+
 def cmd_seq(args: argparse.Namespace) -> OutputRecord:
     _check_table_cap(args.limit, args.force)
     table = family_table(args.family, args.limit)
-    provenance = (
-        Provenance.CLOSED_FORM if args.family.startswith("q122") else Provenance.RECURRENCE
-    )
+    provenance = _table_provenance(args.family)
     results = tuple(
         Result(str(v), provenance, label=str(n)) for n, v in table.items()
     )
@@ -136,6 +139,7 @@ def cmd_seq(args: argparse.Namespace) -> OutputRecord:
         "seq",
         {"family": args.family, "limit": args.limit, "format": args.format},
         results,
+        table,
     )
 
 
@@ -217,9 +221,6 @@ def cmd_export(args: argparse.Namespace) -> OutputRecord:
     text = formats.EMITTERS[args.format](table)
     path = _resolve_output_path(args)
     path.write_text(text)
-    provenance = (
-        Provenance.CLOSED_FORM if args.family.startswith("q122") else Provenance.RECURRENCE
-    )
     return OutputRecord(
         "export",
         {
@@ -228,7 +229,7 @@ def cmd_export(args: argparse.Namespace) -> OutputRecord:
             "format": args.format,
             "path": str(path),
         },
-        (Result(str(path), provenance, label="path"),),
+        (Result(str(path), _table_provenance(args.family), label="path"),),
     )
 
 
@@ -331,13 +332,8 @@ def _print_record(record: OutputRecord, as_json: bool) -> None:
     if record.command in ("count", "growth", "ratio"):
         print(record.results[0].value)
     elif record.command in ("seq", "series"):
-        if record.command == "seq" and record.parameters.get("format") != "plain":
-            table = SequenceTable(
-                record.parameters["family"],
-                tuple(int(r.value) for r in record.results),
-                first_index=int(record.results[0].label),
-            )
-            sys.stdout.write(formats.EMITTERS[record.parameters["format"]](table))
+        if record.command == "seq" and record.parameters["format"] != "plain":
+            sys.stdout.write(formats.EMITTERS[record.parameters["format"]](record.table))
         else:
             print(" ".join(r.value for r in record.results))
     elif record.command == "verify":

@@ -19,6 +19,7 @@ from .core import Discipline, ValidationError
 from .recurrences import SequenceTable
 
 MAX_SCAN_SUBDIVISIONS = 40
+MAX_GROWTH_PLACES = 60  # growth_rate refuses a tolerance finer than 10**-60
 
 RationalLike = Fraction | int
 
@@ -119,7 +120,7 @@ def format_decimal(value: Fraction, places: int) -> str:
 
 def _places_for(tolerance: Fraction) -> int:
     places = 1
-    while Fraction(1, 10**places) > tolerance and places < 60:
+    while Fraction(1, 10**places) > tolerance:
         places += 1
     return places
 
@@ -215,6 +216,11 @@ def growth_rate(
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
+    if tolerance < Fraction(1, 10**MAX_GROWTH_PLACES):
+        raise ValidationError(
+            f"tolerance is finer than 10^-{MAX_GROWTH_PLACES}; growth rates are "
+            f"rendered to at most {MAX_GROWTH_PLACES} decimal places"
+        )
     radicand = builtin_radicand(which)
     coarse = minimal_positive_root(radicand, Fraction(1, 1000))
     if coarse.low == 0:

@@ -39,7 +39,7 @@ FAMILIES = (
     "q122,321",
 )
 
-_PAIRABLE_WITH_122 = ("132", "213", "231", "123", "312", "321")
+PAIRABLE_WITH_122 = ("132", "213", "231", "123", "312", "321")
 
 COMPOSITION_CAP = 20
 
@@ -251,9 +251,9 @@ def closed_form_122(sigma: Pattern | None, limit: int) -> SequenceTable:
         values = [catalan(n) for n in range(1, limit + 1)]
     else:
         key = str(sigma)
-        if key not in _PAIRABLE_WITH_122:
+        if key not in PAIRABLE_WITH_122:
             raise ValidationError(
-                f"no closed form for 122 with {key}; supported: {_PAIRABLE_WITH_122}"
+                f"no closed form for 122 with {key}; supported: {PAIRABLE_WITH_122}"
             )
         name = f"q122,{key}"
         if key == "132":

@@ -16,17 +16,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .core import Discipline, ValidationError
-
-NEWTON_THRESHOLD = 64
 
 RationalLike = Fraction | int
 
 
 class SolverError(ValueError):
     """The implicit equation fails a solvability precondition."""
+
+
+def _truncated_product(
+    a: Sequence[Fraction], b: Sequence[Fraction], order: int
+) -> list[Fraction]:
+    """Coefficients 0..order of the Cauchy product of two coefficient lists,
+    each holding at least order + 1 terms."""
+    return [
+        sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0))
+        for m in range(order + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -64,12 +73,8 @@ class TruncatedSeries:
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated to the smaller order."""
         order = min(self.order, other.order)
-        a, b = self.coefficients, other.coefficients
         return TruncatedSeries(
-            tuple(
-                sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0))
-                for m in range(order + 1)
-            )
+            tuple(_truncated_product(self.coefficients, other.coefficients, order))
         )
 
     def scale(self, factor: RationalLike) -> "TruncatedSeries":
@@ -144,13 +149,7 @@ class BivariatePolynomial:
         y = (y + [zero] * (order + 1))[: order + 1]
         powers = [[Fraction(1)] + [zero] * order]
         for _ in range(self.y_degree):
-            prev = powers[-1]
-            powers.append(
-                [
-                    sum((prev[i] * y[m - i] for i in range(m + 1)), zero)
-                    for m in range(order + 1)
-                ]
-            )
+            powers.append(_truncated_product(powers[-1], y, order))
         out = [zero] * (order + 1)
         for (i, j), c in self.coefficients.items():
             if i > order:
@@ -168,32 +167,16 @@ def residual(equation: BivariatePolynomial, series: TruncatedSeries) -> Truncate
     )
 
 
-def _check_simple_root(
-    equation: BivariatePolynomial, y0: Fraction
-) -> Fraction:
+def _check_simple_root(equation: BivariatePolynomial, y0: Fraction) -> None:
     if equation.evaluate(0, y0) != 0:
         raise SolverError(
             f"F(0, {y0}) = {equation.evaluate(0, y0)} != 0: no series root starts there"
         )
-    slope = equation.derivative_y().evaluate(0, y0)
-    if slope == 0:
+    if equation.derivative_y().evaluate(0, y0) == 0:
         raise SolverError(
             f"dF/dy vanishes at (0, {y0}): the root is not simple, "
             "order-by-order extraction is not forced"
         )
-    return slope
-
-
-def _solve_direct(
-    equation: BivariatePolynomial, y0: Fraction, order: int, slope: Fraction
-) -> list[Fraction]:
-    # With coefficients c_0..c_{n-1} fixed, coefficient n of F(x, y) is
-    # linear in c_n with slope dF/dy(0, y0); solve for it one index at a time.
-    coeffs = [y0]
-    for n in range(1, order + 1):
-        res_n = equation.compose(coeffs, n)[n]
-        coeffs.append(-res_n / slope)
-    return coeffs
 
 
 def _reciprocal(f: list[Fraction], order: int) -> list[Fraction]:
@@ -216,42 +199,27 @@ def _solve_newton(
         correct = min(2 * correct + 1, order)
         value = equation.compose(coeffs, correct)
         slope = derivative.compose(coeffs, correct)
-        inv = _reciprocal(slope, correct)
-        zero = Fraction(0)
-        update = [
-            sum((value[i] * inv[m - i] for i in range(m + 1)), zero)
-            for m in range(correct + 1)
-        ]
-        coeffs = (coeffs + [zero] * (correct + 1 - len(coeffs)))[: correct + 1]
+        update = _truncated_product(value, _reciprocal(slope, correct), correct)
+        coeffs = (coeffs + [Fraction(0)] * (correct + 1 - len(coeffs)))[: correct + 1]
         coeffs = [coeffs[m] - update[m] for m in range(correct + 1)]
     return coeffs
 
 
 def solve_algebraic(
-    equation: BivariatePolynomial,
-    y0: RationalLike,
-    order: int,
-    method: str = "auto",
+    equation: BivariatePolynomial, y0: RationalLike, order: int
 ) -> TruncatedSeries:
     """The unique series y with y(0) = y0 and F(x, y(x)) = 0 mod x**(order+1).
 
-    Preconditions (checked): F(0, y0) = 0 and dF/dy(0, y0) != 0.  The method
-    is "direct" (one coefficient per step) for small orders and "newton"
-    (order doubling) beyond NEWTON_THRESHOLD; both produce identical output.
+    Preconditions (checked): F(0, y0) = 0 and dF/dy(0, y0) != 0.  Newton
+    iteration with order doubling computes the root.  The preconditions make
+    the output its own certificate: a series with y(0) = y0 and a zero
+    ``residual`` to order N is the only solution to order N.
     """
     if order < 0:
         raise ValidationError("order must be non-negative")
-    if method not in ("auto", "direct", "newton"):
-        raise ValidationError(f"unknown method {method!r}")
     y0 = Fraction(y0)
-    slope = _check_simple_root(equation, y0)
-    if method == "auto":
-        method = "newton" if order > NEWTON_THRESHOLD else "direct"
-    if method == "direct":
-        coeffs = _solve_direct(equation, y0, order, slope)
-    else:
-        coeffs = _solve_newton(equation, y0, order)
-    return TruncatedSeries(tuple(coeffs))
+    _check_simple_root(equation, y0)
+    return TruncatedSeries(tuple(_solve_newton(equation, y0, order)))
 
 
 def builtin_equation(which: Discipline) -> BivariatePolynomial:

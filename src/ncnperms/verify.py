@@ -13,15 +13,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from typing import Iterable
 
-from .core import Discipline, Word, pair_steps
-from .enumeration import Constraint, count_by_constraint, dyck_words, labeled_words
+from .core import Discipline, Word
+from .enumeration import Constraint, count_by_constraint, labeled_words
 from .patterns import Pattern, contains
 from .recurrences import (
+    PAIRABLE_WITH_122,
     NonCrossing231System,
     NonNesting231System,
     catalan,
+    closed_form_122,
     nonnesting_231_system,
     noncrossing_231_system,
     qbar_via_compositions,
@@ -30,6 +32,7 @@ from .series import builtin_equation, residual, solve_algebraic
 
 PATTERN_231 = Pattern((2, 3, 1))
 PATTERN_122 = Pattern((1, 2, 2))
+SECOND_PATTERNS_122 = {key: Pattern.parse(key) for key in PAIRABLE_WITH_122}
 
 
 class Level(Enum):
@@ -112,37 +115,32 @@ def decreasing_labeling_is_unique_122_avoider(n: int) -> bool:
     """For every non-crossing matching shape of semilength n, exactly one of
     the n! labelings avoids 122, and it labels arcs in decreasing opener
     order (first-opened arc gets n).
+
+    Each shape has exactly one such labeling, so this holds iff there are
+    catalan(n) 122-avoiders and in each one the labels first appear in the
+    order n, n-1, ..., 1.
     """
-    decreasing = tuple(range(n, 0, -1))
-    labelings = list(permutations(range(1, n + 1)))
-    for dyck in dyck_words(n):
-        pairs = pair_steps(dyck, Discipline.NON_CROSSING)
-        survivors = []
-        for labels in labelings:
-            entries = [0] * (2 * n)
-            for (a, b), lab in zip(pairs, labels):
-                entries[a - 1] = lab
-                entries[b - 1] = lab
-            if not contains(Word(tuple(entries)), PATTERN_122):
-                survivors.append(labels)
-        if survivors != [decreasing]:
+    decreasing = list(range(n, 0, -1))
+    avoiders = 0
+    for word in labeled_words(n, Discipline.NON_CROSSING):
+        if contains(word, PATTERN_122):
+            continue
+        avoiders += 1
+        if list(dict.fromkeys(word.entries)) != decreasing:
             return False
-    return True
+    return avoiders == catalan(n)
 
 
 def count_122_family(n: int) -> dict[str, int]:
     """One enumeration pass: counts of non-crossing words avoiding 122, and
     avoiding 122 plus each single second pattern of length 3.
     """
-    seconds = {
-        key: Pattern.parse(key) for key in ("132", "213", "231", "123", "312", "321")
-    }
-    counts = {"122": 0, **{f"122,{key}": 0 for key in seconds}}
+    counts = {"122": 0, **{f"122,{key}": 0 for key in SECOND_PATTERNS_122}}
     for word in labeled_words(n, Discipline.NON_CROSSING):
         if contains(word, PATTERN_122):
             continue
         counts["122"] += 1
-        for key, sigma in seconds.items():
+        for key, sigma in SECOND_PATTERNS_122.items():
             if not contains(word, sigma):
                 counts[f"122,{key}"] += 1
     return counts
@@ -153,19 +151,17 @@ def count_122_family(n: int) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _expected_122(key: str, n: int) -> int:
-    if key in ("122", "122,132"):
-        return catalan(n)
-    if key == "122,213":
-        a, b = 1, 2
-        for _ in range(n - 1):
-            a, b = b, a + b
-        return a
-    if key in ("122,231", "122,123"):
-        return 2 ** (n - 1)
-    if key == "122,312":
-        return n
-    return [1, 2][n - 1] if n <= 2 else 0  # 122,321
+def _first_mismatch(
+    rows: Iterable[tuple[str, object, object]], values: bool = True
+) -> str:
+    """Detail for the first (label, expected, got) row whose values differ,
+    or "" when all agree.  Rows are pulled lazily, so a check stops working
+    at its first mismatch; ``values=False`` reports the label alone.
+    """
+    for label, expected, got in rows:
+        if expected != got:
+            return f"{label}, expected {expected}, got {got}" if values else label
+    return ""
 
 
 def run_verification(
@@ -184,72 +180,57 @@ def run_verification(
     nc = noncrossing if noncrossing is not None else noncrossing_231_system(order)
     results: list[CheckResult] = []
 
-    def record(name: str, passed: bool, detail: str = "") -> None:
-        results.append(CheckResult(name, passed, detail))
+    def record(name: str, failure: str) -> None:
+        results.append(CheckResult(name, not failure, failure))
 
     # Unfiltered counts are n! * C(n) for both disciplines.
     for disc in Discipline:
-        failure = ""
+        failure = _first_mismatch(
+            (
+                f"n={n}",
+                math.factorial(n) * catalan(n),
+                count_by_constraint(n, disc, (), cap=max_n)[Constraint.NONE],
+            )
+            for n in range(max_n + 1)
+        )
+        record(f"baseline count n!*C(n), {disc.value}, n<={max_n}", failure)
+
+    # Brute force vs the convolution tables: all four constraints for
+    # non-nesting, the two that exist for non-crossing.
+    def oracle_rows(disc: Discipline, tables: dict):
         for n in range(max_n + 1):
-            got = count_by_constraint(n, disc, (), cap=max_n)[Constraint.NONE]
-            expected = math.factorial(n) * catalan(n)
-            if got != expected:
-                failure = f"n={n}, expected {expected}, got {got}"
-                break
-        record(f"baseline count n!*C(n), {disc.value}, n<={max_n}", not failure, failure)
+            counted = count_by_constraint(n, disc, (PATTERN_231,), cap=max_n)
+            for constraint, table in tables.items():
+                yield f"n={n}, family={table.name}", table[n], counted[constraint]
 
-    # Brute force vs the non-nesting convolution tables, all four constraints.
-    tables_nn = {
-        Constraint.NONE: nn.unconstrained,
-        Constraint.FIRST_IS_1: nn.first_is_1,
-        Constraint.LAST_IS_N: nn.last_is_n,
-        Constraint.BOTH: nn.both,
-    }
-    failure = ""
-    for n in range(max_n + 1):
-        counted = count_by_constraint(n, Discipline.NON_NESTING, (PATTERN_231,), cap=max_n)
-        for constraint, table in tables_nn.items():
-            if counted[constraint] != table[n]:
-                failure = (
-                    f"n={n}, family={table.name}, "
-                    f"expected {table[n]}, got {counted[constraint]}"
-                )
-                break
-        if failure:
-            break
-    record(f"oracle vs non-nesting 231 tables, n<={max_n}", not failure, failure)
+    for disc, tables in (
+        (
+            Discipline.NON_NESTING,
+            {
+                Constraint.NONE: nn.unconstrained,
+                Constraint.FIRST_IS_1: nn.first_is_1,
+                Constraint.LAST_IS_N: nn.last_is_n,
+                Constraint.BOTH: nn.both,
+            },
+        ),
+        (
+            Discipline.NON_CROSSING,
+            {Constraint.NONE: nc.unconstrained, Constraint.FIRST_IS_1: nc.first_is_1},
+        ),
+    ):
+        failure = _first_mismatch(oracle_rows(disc, tables))
+        record(f"oracle vs {disc.value} 231 tables, n<={max_n}", failure)
 
-    # Brute force vs the non-crossing convolution tables (the two that exist).
-    tables_nc = {
-        Constraint.NONE: nc.unconstrained,
-        Constraint.FIRST_IS_1: nc.first_is_1,
-    }
-    failure = ""
-    for n in range(max_n + 1):
-        counted = count_by_constraint(n, Discipline.NON_CROSSING, (PATTERN_231,), cap=max_n)
-        for constraint, table in tables_nc.items():
-            if counted[constraint] != table[n]:
-                failure = (
-                    f"n={n}, family={table.name}, "
-                    f"expected {table[n]}, got {counted[constraint]}"
-                )
-                break
-        if failure:
-            break
-    record(f"oracle vs non-crossing 231 tables, n<={max_n}", not failure, failure)
-
-    # Brute force vs the 122 closed forms.
-    failure = ""
-    for n in range(1, max_n + 1):
-        counts = count_122_family(n)
-        for key, got in counts.items():
-            expected = _expected_122(key, n)
-            if got != expected:
-                failure = f"n={n}, family=q{key}, expected {expected}, got {got}"
-                break
-        if failure:
-            break
-    record(f"oracle vs 122 closed forms, n<={max_n}", not failure, failure)
+    # Brute force vs the library's 122 closed forms.
+    closed = {"122": closed_form_122(None, max_n)}
+    for key, sigma in SECOND_PATTERNS_122.items():
+        closed[f"122,{key}"] = closed_form_122(sigma, max_n)
+    failure = _first_mismatch(
+        (f"n={n}, family=q{key}", closed[key][n], got)
+        for n in range(1, max_n + 1)
+        for key, got in count_122_family(n).items()
+    )
+    record(f"oracle vs 122 closed forms, n<={max_n}", failure)
 
     # Series solver vs the convolution tables.
     for disc, table in (
@@ -257,42 +238,41 @@ def run_verification(
         (Discipline.NON_CROSSING, nc.unconstrained),
     ):
         solved = solve_algebraic(builtin_equation(disc), 1, order)
-        failure = ""
-        for n in range(order + 1):
-            c = solved[n]
-            if c.denominator != 1 or c.numerator != table[n]:
-                failure = f"n={n}, family={table.name}, expected {table[n]}, got {c}"
-                break
-        record(f"series solver vs {table.name}, order {order}", not failure, failure)
+        failure = _first_mismatch(
+            (f"n={n}, family={table.name}", table[n], solved[n]) for n in range(order + 1)
+        )
+        record(f"series solver vs {table.name}, order {order}", failure)
         res = residual(builtin_equation(disc), solved)
         record(
             f"residual of solved series is zero, {disc.value}, order {order}",
-            res.is_zero(),
             "" if res.is_zero() else f"residual {res.render()}",
         )
 
     # Tail identities: differencing the constrained tables recovers the
     # unconstrained ones (last entry n strips to index n-1).
-    failure = ""
-    for n in range(1, min(order, nn.unconstrained.last_index) + 1):
-        if nn.last_is_n[n] - nn.last_is_n[n - 1] != nn.unconstrained[n - 1]:
-            failure = f"r231[{n}] - r231[{n - 1}] != p231[{n - 1}]"
-            break
-        expected = nn.first_is_1[n - 1] + (1 if n == 1 else 0)
-        if nn.both[n] - nn.both[n - 1] != expected:
-            failure = f"rprime231[{n}] - rprime231[{n - 1}] != q231[{n - 1}]"
-            break
-    record(f"tail-difference identities, order {order}", not failure, failure)
+    def tail_rows():
+        for n in range(1, min(order, nn.unconstrained.last_index) + 1):
+            yield (
+                f"r231[{n}] - r231[{n - 1}] != p231[{n - 1}]",
+                nn.unconstrained[n - 1],
+                nn.last_is_n[n] - nn.last_is_n[n - 1],
+            )
+            yield (
+                f"rprime231[{n}] - rprime231[{n - 1}] != q231[{n - 1}]",
+                nn.first_is_1[n - 1] + (1 if n == 1 else 0),
+                nn.both[n] - nn.both[n - 1],
+            )
+
+    failure = _first_mismatch(tail_rows(), values=False)
+    record(f"tail-difference identities, order {order}", failure)
 
     # Composition sum route for first=1 non-crossing counts.
     comp_limit = 8 if level is Level.QUICK else 12
     comp = qbar_via_compositions(comp_limit)
-    failure = ""
-    for n in range(comp_limit + 1):
-        if comp[n] != nc.first_is_1[n]:
-            failure = f"n={n}, expected {nc.first_is_1[n]}, got {comp[n]}"
-            break
-    record(f"composition sum vs qbar231, n<={comp_limit}", not failure, failure)
+    failure = _first_mismatch(
+        (f"n={n}", nc.first_is_1[n], comp[n]) for n in range(comp_limit + 1)
+    )
+    record(f"composition sum vs qbar231, n<={comp_limit}", failure)
 
     if level is Level.FULL:
         # Structure of 231-avoiding non-nesting words around the max label.
@@ -309,14 +289,14 @@ def run_verification(
                     break
             if failure:
                 break
-        record("max-label window structure, n<=5", not failure, failure)
+        record("max-label window structure, n<=5", failure)
 
         failure = ""
         for n in range(6):
             if not decreasing_labeling_is_unique_122_avoider(n):
                 failure = f"bijection fails at n={n}"
                 break
-        record("unique 122-avoiding labeling per matching, n<=5", not failure, failure)
+        record("unique 122-avoiding labeling per matching, n<=5", failure)
 
     return results
 

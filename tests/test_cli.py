@@ -110,6 +110,14 @@ def test_growth_example(capsys):
     assert abs(float(out) - 6.1801) < 1e-3
 
 
+def test_growth_rejects_tolerance_beyond_rendered_places(capsys):
+    code, out, err = run(capsys, "growth", "non-crossing", "--tolerance", "1e-70")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_ratio_examples(capsys):
     code, out, _ = run(capsys, "ratio", "pbar231", "600", "--places", "5")
     assert code == EXIT_OK and out.strip() == "7.79822"

@@ -118,20 +118,25 @@ def test_solver_agrees_with_recurrences_to_order_60():
         assert quartic[n] == nc[n]
 
 
-def test_newton_and_direct_paths_agree():
+def test_solver_output_starts_at_y0_with_zero_residual():
     for equation in (GEOMETRIC, builtin_equation(Discipline.NON_NESTING)):
-        direct = solve_algebraic(equation, 1, 40, method="direct")
-        newton = solve_algebraic(equation, 1, 40, method="newton")
-        assert direct == newton
+        solved = solve_algebraic(equation, 1, 40)
+        assert solved.order == 40
+        assert solved[0] == 1
+        assert residual(equation, solved).is_zero()
 
 
-def test_auto_switches_to_newton_above_threshold():
-    # above the threshold the auto path is newton; check it against the
-    # recurrence tables rather than against another series run
-    table = noncrossing_231_system(80).unconstrained
-    solved = solve_algebraic(builtin_equation(Discipline.NON_CROSSING), 1, 80)
-    for n in range(81):
-        assert solved[n] == table[n]
+def test_solver_agrees_with_recurrences_across_orders():
+    # Newton fixes 1, 3, 7, ..., 63 coefficients: order 0 takes no step, 63
+    # ends on a full doubling step, and 64, 65 and 80 cut the last one short
+    nn = nonnesting_231_system(80).unconstrained
+    nc = noncrossing_231_system(80).unconstrained
+    for order in (0, 1, 63, 64, 65, 80):
+        for disc, table in ((Discipline.NON_NESTING, nn), (Discipline.NON_CROSSING, nc)):
+            solved = solve_algebraic(builtin_equation(disc), 1, order)
+            assert solved.order == order
+            for n in range(order + 1):
+                assert solved[n] == table[n]
 
 
 def test_truncation_consistency():
@@ -148,8 +153,6 @@ def test_solver_precondition_errors():
         solve_algebraic(double_root, 1, 5)
     with pytest.raises(ValidationError):
         solve_algebraic(GEOMETRIC, 1, -1)
-    with pytest.raises(ValidationError):
-        solve_algebraic(GEOMETRIC, 1, 5, method="magic")
 
 
 def _random_solvable(rng: random.Random) -> tuple[BivariatePolynomial, int]:
@@ -178,6 +181,5 @@ def test_randomized_solutions_have_zero_residual():
     for _ in range(20):
         equation, y0 = _random_solvable(rng)
         solved = solve_algebraic(equation, y0, 12)
+        assert solved[0] == y0
         assert residual(equation, solved).is_zero()
-        newton = solve_algebraic(equation, y0, 12, method="newton")
-        assert newton == solved

@@ -2,6 +2,7 @@ from ncnperms.core import Word
 from ncnperms.recurrences import (
     NonNesting231System,
     SequenceTable,
+    closed_form_122,
     nonnesting_231_system,
 )
 from ncnperms.verify import (
@@ -75,3 +76,19 @@ def test_count_122_family_small():
         "122,312": 3,
         "122,321": 0,
     }
+
+
+def test_closed_forms_are_checked_against_the_library(monkeypatch):
+    def corrupted(sigma, limit):
+        table = closed_form_122(sigma, limit)
+        if str(sigma) != "213":
+            return table
+        values = list(table.values)
+        values[2] += 1  # index 3
+        return SequenceTable(table.name, tuple(values), first_index=table.first_index)
+
+    monkeypatch.setattr("ncnperms.verify.closed_form_122", corrupted, raising=False)
+    failed = first_failure(run_verification(Level.QUICK))
+    assert failed is not None
+    assert failed.name.startswith("oracle vs 122 closed forms")
+    assert failed.detail == "n=3, family=q122,213, expected 4, got 3"
