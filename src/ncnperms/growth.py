@@ -12,6 +12,7 @@ decimals are rendered from exact data at the very end.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -243,4 +244,12 @@ def ratio(table: SequenceTable, n: int, decimal_places: int) -> DecimalApprox:
     if table[n - 1] <= 0:
         raise ValidationError(f"{table.name}[{n - 1}] is not positive")
     exact = Fraction(table[n], table[n - 1])
+    # the whole part, the places and a digit that rounding may carry in
+    digits = len(str(exact.numerator // exact.denominator)) + decimal_places + 1
+    str_limit = sys.get_int_max_str_digits()  # 0 means Python sets no limit
+    if str_limit and digits > str_limit:
+        raise ValidationError(
+            f"{decimal_places} places need up to {digits} digits, beyond Python's "
+            f"int-to-string limit of {str_limit} (sys.get_int_max_str_digits())"
+        )
     return DecimalApprox(exact, exact, decimal_places)

@@ -43,7 +43,8 @@ class Pattern:
 
     @classmethod
     def parse(cls, text: str) -> "Pattern":
-        if not text.isdigit():
+        # str.isdigit alone also accepts superscripts and fullwidth digits
+        if not (text.isascii() and text.isdigit()):
             raise ValidationError(f"cannot parse pattern text {text!r}")
         return cls(tuple(int(ch) for ch in text))
 

@@ -8,8 +8,11 @@ of the 231-avoiding families are defined this way, so their coefficients
 can be read off without ever running the convolution recurrences -- an
 independent route used for cross-validation.
 
-No floating point enters this module; every coefficient is a Fraction and
-the residual postcondition F(x, y(x)) = 0 is checked exactly.
+No floating point enters this module.  The arithmetic is generic over int
+and Fraction: it stays in plain integers when y0 is an integer and
+dF/dy(0, y0) = +-1 (F has integer coefficients), and a Fraction appears only
+where a division really produces one.  Results are Fractions at the API
+boundary (``TruncatedSeries``); the residual F(x, y(x)) = 0 is checked exactly.
 """
 
 from __future__ import annotations
@@ -27,15 +30,16 @@ class SolverError(ValueError):
     """The implicit equation fails a solvability precondition."""
 
 
+def _narrow(value: Fraction) -> RationalLike:
+    return value.numerator if value.denominator == 1 else value
+
+
 def _truncated_product(
-    a: Sequence[Fraction], b: Sequence[Fraction], order: int
-) -> list[Fraction]:
+    a: Sequence[RationalLike], b: Sequence[RationalLike], order: int
+) -> list[RationalLike]:
     """Coefficients 0..order of the Cauchy product of two coefficient lists,
-    each holding at least order + 1 terms."""
-    return [
-        sum((a[i] * b[m - i] for i in range(m + 1)), Fraction(0))
-        for m in range(order + 1)
-    ]
+    each holding at least order + 1 terms; int inputs give int outputs."""
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(order + 1)]
 
 
 @dataclass(frozen=True)
@@ -143,14 +147,13 @@ class BivariatePolynomial:
             {(i, j - 1): c * j for (i, j), c in self.coefficients.items() if j > 0}
         )
 
-    def compose(self, y: list[Fraction], order: int) -> list[Fraction]:
+    def compose(self, y: list[RationalLike], order: int) -> list[RationalLike]:
         """Coefficients 0..order of F(x, y(x)) for y given as a coefficient list."""
-        zero = Fraction(0)
-        y = (y + [zero] * (order + 1))[: order + 1]
-        powers = [[Fraction(1)] + [zero] * order]
+        y = (y + [0] * (order + 1))[: order + 1]
+        powers = [[1] + [0] * order]
         for _ in range(self.y_degree):
             powers.append(_truncated_product(powers[-1], y, order))
-        out = [zero] * (order + 1)
+        out = [0] * (order + 1)
         for (i, j), c in self.coefficients.items():
             if i > order:
                 continue
@@ -163,11 +166,11 @@ class BivariatePolynomial:
 def residual(equation: BivariatePolynomial, series: TruncatedSeries) -> TruncatedSeries:
     """F(x, y(x)) truncated at the order of ``series``; zero iff it solves F."""
     return TruncatedSeries(
-        tuple(equation.compose(list(series.coefficients), series.order))
+        tuple(equation.compose([_narrow(c) for c in series.coefficients], series.order))
     )
 
 
-def _check_simple_root(equation: BivariatePolynomial, y0: Fraction) -> None:
+def _check_simple_root(equation: BivariatePolynomial, y0: RationalLike) -> None:
     if equation.evaluate(0, y0) != 0:
         raise SolverError(
             f"F(0, {y0}) = {equation.evaluate(0, y0)} != 0: no series root starts there"
@@ -179,18 +182,18 @@ def _check_simple_root(equation: BivariatePolynomial, y0: Fraction) -> None:
         )
 
 
-def _reciprocal(f: list[Fraction], order: int) -> list[Fraction]:
-    inv0 = 1 / f[0]
+def _reciprocal(f: list[RationalLike], order: int) -> list[RationalLike]:
+    inv0 = _narrow(1 / Fraction(f[0]))
     inv = [inv0]
     for m in range(1, order + 1):
-        acc = sum((f[i] * inv[m - i] for i in range(1, m + 1)), Fraction(0))
+        acc = sum(f[i] * inv[m - i] for i in range(1, m + 1))
         inv.append(-inv0 * acc)
     return inv
 
 
 def _solve_newton(
-    equation: BivariatePolynomial, y0: Fraction, order: int
-) -> list[Fraction]:
+    equation: BivariatePolynomial, y0: RationalLike, order: int
+) -> list[RationalLike]:
     # y <- y - F(y)/F'(y) doubles the number of correct coefficients per step.
     derivative = equation.derivative_y()
     coeffs = [y0]
@@ -200,7 +203,7 @@ def _solve_newton(
         value = equation.compose(coeffs, correct)
         slope = derivative.compose(coeffs, correct)
         update = _truncated_product(value, _reciprocal(slope, correct), correct)
-        coeffs = (coeffs + [Fraction(0)] * (correct + 1 - len(coeffs)))[: correct + 1]
+        coeffs = (coeffs + [0] * (correct + 1 - len(coeffs)))[: correct + 1]
         coeffs = [coeffs[m] - update[m] for m in range(correct + 1)]
     return coeffs
 
@@ -217,7 +220,7 @@ def solve_algebraic(
     """
     if order < 0:
         raise ValidationError("order must be non-negative")
-    y0 = Fraction(y0)
+    y0 = _narrow(Fraction(y0))
     _check_simple_root(equation, y0)
     return TruncatedSeries(tuple(_solve_newton(equation, y0, order)))
 

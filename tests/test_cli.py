@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -123,6 +124,38 @@ def test_ratio_examples(capsys):
     assert code == EXIT_OK and out.strip() == "7.79822"
     code, out, _ = run(capsys, "ratio", "p231", "250", "--places", "3")
     assert out.strip() == "6.143"
+
+
+def test_ratio_rejects_places_beyond_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, "ratio", "p231", "5", "--places", "4300")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        # the whole digit, 4298 places and a possible carry fit in 4300 digits
+        code, out, _ = run(capsys, "ratio", "p231", "5", "--places", "4298")
+        assert code == EXIT_OK and out.startswith("4.766233766")
+        sys.set_int_max_str_digits(0)  # no limit
+        code, out, _ = run(capsys, "ratio", "p231", "5", "--places", "5000")
+        assert code == EXIT_OK and len(out.strip()) == 5002
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--non-nesting", "--avoid", "\u00b2", "-n", "2"),
+        ("count", "--non-nesting", "--avoid", "\uff12\uff11\uff13", "-n", "2"),
+        ("seq", "q122,\u00b2", "-N", "3"),
+        ("seq", "q122,\uff12\uff11\uff13", "-N", "3"),
+    ],
+)
+def test_non_ascii_digit_patterns_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_quick(capsys):

@@ -30,6 +30,13 @@ def test_pattern_validation():
         Pattern.parse("2x1")
 
 
+@pytest.mark.parametrize("text", ["\u00b2", "\uff12\uff11\uff13", "2\u0663\u0661"])
+def test_pattern_parse_accepts_ascii_digits_only(text):
+    # superscript two, fullwidth 213, and 2 followed by Arabic-Indic 3 and 1
+    with pytest.raises(ValidationError):
+        Pattern.parse(text)
+
+
 def test_contains_examples():
     assert not contains(Word.parse("121632653454"), Pattern.parse("231"))
     assert contains(Word.parse("2121"), Pattern.parse("212"))

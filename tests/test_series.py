@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ncnperms.core import Discipline, ValidationError
-from ncnperms.recurrences import nonnesting_231_system, noncrossing_231_system
+from ncnperms.recurrences import catalan, nonnesting_231_system, noncrossing_231_system
 from ncnperms.series import (
     BivariatePolynomial,
     SolverError,
@@ -108,14 +108,29 @@ def test_residual_detects_non_solutions():
     assert res == series(0, 0, -4)
 
 
-def test_solver_agrees_with_recurrences_to_order_60():
-    nn = nonnesting_231_system(60).unconstrained
-    nc = noncrossing_231_system(60).unconstrained
-    cubic = solve_algebraic(builtin_equation(Discipline.NON_NESTING), 1, 60)
-    quartic = solve_algebraic(builtin_equation(Discipline.NON_CROSSING), 1, 60)
-    for n in range(61):
+def test_solver_agrees_with_recurrences_to_order_400():
+    nn = nonnesting_231_system(400).unconstrained
+    nc = noncrossing_231_system(400).unconstrained
+    cubic = solve_algebraic(builtin_equation(Discipline.NON_NESTING), 1, 400)
+    quartic = solve_algebraic(builtin_equation(Discipline.NON_CROSSING), 1, 400)
+    for n in range(401):
         assert cubic[n] == nn[n]
         assert quartic[n] == nc[n]
+
+
+def test_solver_rational_root_and_non_unit_slope():
+    # 2y - 1 - x*y^2 = 0 has y(0) = 1/2 and dF/dy(0, 1/2) = 2; its root
+    # (1 - sqrt(1 - x))/x has the coefficients catalan(n) / 2^(2n + 1)
+    halves = BivariatePolynomial({(0, 1): 2, (0, 0): -1, (1, 2): -1})
+    solved = solve_algebraic(halves, Fraction(1, 2), 30)
+    assert solved.coefficients == tuple(
+        Fraction(catalan(n), 2 ** (2 * n + 1)) for n in range(31)
+    )
+    assert all(type(c) is Fraction for c in solved.coefficients)
+    assert residual(halves, solved).is_zero()
+    # an integral root behind the slope 2 still comes out exact
+    doubled = BivariatePolynomial({(0, 1): 2, (0, 0): -2, (1, 1): -2})
+    assert solve_algebraic(doubled, 1, 6) == solve_algebraic(GEOMETRIC, 1, 6)
 
 
 def test_solver_output_starts_at_y0_with_zero_residual():
