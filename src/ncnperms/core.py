@@ -10,9 +10,9 @@ Positions are 1-based throughout the public interface.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import cache
 from typing import Sequence
 
 
@@ -41,6 +41,12 @@ class Step(IntEnum):
     CLOSE = 1
 
 
+@cache
+def _doubled_labels(n: int) -> list[int]:
+    """[1, 1, 2, 2, ..., n, n]: a word's entries in sorted order."""
+    return [lab for lab in range(1, n + 1) for _ in range(2)]
+
+
 @dataclass(frozen=True)
 class Word:
     """A permutation of the multiset {1,1,...,n,n} as a flat label sequence.
@@ -59,8 +65,11 @@ class Word:
         if len(entries) % 2:
             raise ValidationError(f"word length must be even, got {len(entries)}")
         n = len(entries) // 2
-        counts = Counter(entries)
-        if len(counts) != n or any(counts.get(lab) != 2 for lab in range(1, n + 1)):
+        try:
+            valid = sorted(entries) == _doubled_labels(n)
+        except TypeError:  # entries that do not order against each other
+            valid = False
+        if not valid:
             raise ValidationError(
                 f"word entries must use each label 1..{n} exactly twice, got {entries}"
             )
@@ -83,6 +92,9 @@ class Word:
         text = text.strip()
         if not text:
             return cls(())
+        # str.isdigit and int() alone also accept superscripts and fullwidth digits
+        if not text.isascii():
+            raise ValidationError(f"cannot parse word text {text!r}")
         if "," in text:
             try:
                 entries = tuple(int(tok) for tok in text.split(","))

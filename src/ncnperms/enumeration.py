@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .core import (
     Discipline,
@@ -25,7 +25,7 @@ from .core import (
     Word,
     pair_steps,
 )
-from .patterns import Pattern, avoids_all
+from .patterns import Pattern, contains
 
 ENUMERATION_CAP = 7
 
@@ -107,33 +107,53 @@ def labeled_words(n: int, discipline: Discipline) -> Iterator[Word]:
 def count_by_constraint(
     n: int,
     discipline: Discipline,
-    forbidden: Iterable[Pattern] = (),
+    forbidden: Iterable[Pattern] | Mapping[Hashable, Iterable[Pattern]] = (),
     cap: int = ENUMERATION_CAP,
-) -> dict[Constraint, int]:
+) -> dict:
     """Counts of pattern-avoiding words under all four positional constraints,
     from a single enumeration pass.
+
+    ``forbidden`` is one set of patterns, giving ``{constraint: count}``, or a
+    mapping from keys to several sets, giving ``{key: {constraint: count}}``
+    for every set from the same pass.  Each pattern is tested at most once
+    per word, and a set stops at its first contained pattern.
     """
     if n > cap:
         raise EnumerationCapError(
             f"semilength {n} exceeds the enumeration cap {cap}; "
             "use the recurrence tables instead"
         )
-    patterns = tuple(forbidden)
-    totals = dict.fromkeys(Constraint, 0)
+    several = isinstance(forbidden, Mapping)
+    families = {
+        key: tuple(family)
+        for key, family in (forbidden.items() if several else [(None, forbidden)])
+    }
+    patterns = list(dict.fromkeys(p for family in families.values() for p in family))
+    members = [[patterns.index(p) for p in family] for family in families.values()]
+    # tallies[f][2 * first_is_1 + last_is_n]: avoiders of family f by endpoints
+    tallies = [[0] * 4 for _ in members]
     for word in labeled_words(n, discipline):
-        if patterns and not avoids_all(word, patterns):
-            continue
-        totals[Constraint.NONE] += 1
         entries = word.entries
-        first = bool(entries) and entries[0] == 1
-        last = bool(entries) and entries[-1] == n
-        if first:
-            totals[Constraint.FIRST_IS_1] += 1
-        if last:
-            totals[Constraint.LAST_IS_N] += 1
-        if first and last:
-            totals[Constraint.BOTH] += 1
-    return totals
+        cell = 2 * (bool(entries) and entries[0] == 1) + (bool(entries) and entries[-1] == n)
+        found: list[bool | None] = [None] * len(patterns)
+        for family, tally in zip(members, tallies):
+            for i in family:
+                if found[i] is None:
+                    found[i] = contains(word, patterns[i])
+                if found[i]:
+                    break
+            else:
+                tally[cell] += 1
+    totals = {
+        key: {
+            Constraint.NONE: sum(tally),
+            Constraint.FIRST_IS_1: tally[2] + tally[3],
+            Constraint.LAST_IS_N: tally[1] + tally[3],
+            Constraint.BOTH: tally[3],
+        }
+        for key, tally in zip(families, tallies)
+    }
+    return totals if several else totals[None]
 
 
 def count_avoiders(query: CountQuery, cap: int = ENUMERATION_CAP) -> int:

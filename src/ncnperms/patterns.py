@@ -10,6 +10,7 @@ get named predicates because they define the word families studied here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 from .core import ValidationError, Word
@@ -54,12 +55,40 @@ NESTING = frozenset({Pattern((1, 2, 2, 1)), Pattern((2, 1, 1, 2))})
 STIRLING_FORBIDDEN = frozenset({Pattern((2, 1, 2))})
 
 
+@cache
+def _bound_positions(letters: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """For each pattern position k, the earlier positions whose matched
+    entries bound the entry at k: (equal letter, nearest smaller letter,
+    nearest larger letter), each -1 when there is none.
+
+    Every index points at the first occurrence of its letter, so only
+    first occurrences need their matched entry recorded.
+
+    >>> _bound_positions((2, 3, 1))
+    ((-1, -1, -1), (-1, 0, -1), (-1, -1, 0))
+    """
+    plan = []
+    for k, letter in enumerate(letters):
+        before = letters[:k]
+        smaller = [let for let in before if let < letter]
+        larger = [let for let in before if let > letter]
+        plan.append(
+            (
+                before.index(letter) if letter in before else -1,
+                before.index(max(smaller)) if smaller else -1,
+                before.index(min(larger)) if larger else -1,
+            )
+        )
+    return tuple(plan)
+
+
 def contains(word: Word, pattern: Pattern) -> bool:
     """True iff the word has a subsequence order-and-equality isomorphic to
     the pattern.
 
     Backtracking over candidate positions, pruning candidates whose value is
-    inconsistent with the pattern letters already placed.  This is a complete
+    inconsistent with the entries matched so far; which earlier entries bound
+    each pattern position is worked out once per pattern.  This is a complete
     search, exact for every pattern length.
 
     >>> contains(Word.parse("2121"), Pattern.parse("212"))
@@ -68,37 +97,32 @@ def contains(word: Word, pattern: Pattern) -> bool:
     False
     """
     w = word.entries
-    p = pattern.letters
-    t = len(p)
+    plan = _bound_positions(pattern.letters)
+    t = len(plan)
     if t > len(w):
         return False
-    value_of: dict[int, int] = {}
+    slack = len(w) - t
+    matched = [0] * t
 
     def search(k: int, start: int) -> bool:
         if k == t:
             return True
-        letter = p[k]
-        bound = value_of.get(letter)
-        if bound is None:
-            lower = max((v for let, v in value_of.items() if let < letter), default=0)
-            upper = min(
-                (v for let, v in value_of.items() if let > letter), default=_UNBOUNDED
-            )
-        last = len(w) - (t - k)
-        for pos in range(start, last + 1):
+        equal, lo, hi = plan[k]
+        stop = slack + k + 1
+        if equal >= 0:
+            bound = matched[equal]
+            for pos in range(start, stop):
+                if w[pos] == bound and search(k + 1, pos + 1):
+                    return True
+            return False
+        lower = matched[lo] if lo >= 0 else 0
+        upper = matched[hi] if hi >= 0 else _UNBOUNDED
+        for pos in range(start, stop):
             v = w[pos]
-            if bound is not None:
-                if v != bound:
-                    continue
+            if lower < v < upper:
+                matched[k] = v
                 if search(k + 1, pos + 1):
                     return True
-            else:
-                if not lower < v < upper:
-                    continue
-                value_of[letter] = v
-                if search(k + 1, pos + 1):
-                    return True
-                del value_of[letter]
         return False
 
     return search(0, 0)

@@ -33,6 +33,11 @@ from .series import builtin_equation, residual, solve_algebraic
 PATTERN_231 = Pattern((2, 3, 1))
 PATTERN_122 = Pattern((1, 2, 2))
 SECOND_PATTERNS_122 = {key: Pattern.parse(key) for key in PAIRABLE_WITH_122}
+#: The 122 family and its refinements, keyed as in ``closed_form_122`` names.
+FAMILIES_122 = {
+    "122": (PATTERN_122,),
+    **{f"122,{key}": (PATTERN_122, sigma) for key, sigma in SECOND_PATTERNS_122.items()},
+}
 
 
 class Level(Enum):
@@ -132,18 +137,11 @@ def decreasing_labeling_is_unique_122_avoider(n: int) -> bool:
 
 
 def count_122_family(n: int) -> dict[str, int]:
-    """One enumeration pass: counts of non-crossing words avoiding 122, and
-    avoiding 122 plus each single second pattern of length 3.
+    """Counts of non-crossing words avoiding 122, and avoiding 122 plus each
+    single second pattern of length 3, from one enumeration pass.
     """
-    counts = {"122": 0, **{f"122,{key}": 0 for key in SECOND_PATTERNS_122}}
-    for word in labeled_words(n, Discipline.NON_CROSSING):
-        if contains(word, PATTERN_122):
-            continue
-        counts["122"] += 1
-        for key, sigma in SECOND_PATTERNS_122.items():
-            if not contains(word, sigma):
-                counts[f"122,{key}"] += 1
-    return counts
+    counted = count_by_constraint(n, Discipline.NON_CROSSING, FAMILIES_122)
+    return {key: counts[Constraint.NONE] for key, counts in counted.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +181,29 @@ def run_verification(
     def record(name: str, failure: str) -> None:
         results.append(CheckResult(name, not failure, failure))
 
+    # One enumeration pass per discipline and size feeds every oracle check:
+    # all words, the 231-avoiders, and (non-crossing) the 122 families.
+    counted = {
+        disc: [
+            count_by_constraint(
+                n,
+                disc,
+                {"all": (), "231": (PATTERN_231,)}
+                | (FAMILIES_122 if disc is Discipline.NON_CROSSING else {}),
+                cap=max_n,
+            )
+            for n in range(max_n + 1)
+        ]
+        for disc in Discipline
+    }
+
     # Unfiltered counts are n! * C(n) for both disciplines.
     for disc in Discipline:
         failure = _first_mismatch(
             (
                 f"n={n}",
                 math.factorial(n) * catalan(n),
-                count_by_constraint(n, disc, (), cap=max_n)[Constraint.NONE],
+                counted[disc][n]["all"][Constraint.NONE],
             )
             for n in range(max_n + 1)
         )
@@ -197,12 +211,6 @@ def run_verification(
 
     # Brute force vs the convolution tables: all four constraints for
     # non-nesting, the two that exist for non-crossing.
-    def oracle_rows(disc: Discipline, tables: dict):
-        for n in range(max_n + 1):
-            counted = count_by_constraint(n, disc, (PATTERN_231,), cap=max_n)
-            for constraint, table in tables.items():
-                yield f"n={n}, family={table.name}", table[n], counted[constraint]
-
     for disc, tables in (
         (
             Discipline.NON_NESTING,
@@ -218,7 +226,11 @@ def run_verification(
             {Constraint.NONE: nc.unconstrained, Constraint.FIRST_IS_1: nc.first_is_1},
         ),
     ):
-        failure = _first_mismatch(oracle_rows(disc, tables))
+        failure = _first_mismatch(
+            (f"n={n}, family={table.name}", table[n], counted[disc][n]["231"][constraint])
+            for n in range(max_n + 1)
+            for constraint, table in tables.items()
+        )
         record(f"oracle vs {disc.value} 231 tables, n<={max_n}", failure)
 
     # Brute force vs the library's 122 closed forms.
@@ -226,9 +238,13 @@ def run_verification(
     for key, sigma in SECOND_PATTERNS_122.items():
         closed[f"122,{key}"] = closed_form_122(sigma, max_n)
     failure = _first_mismatch(
-        (f"n={n}, family=q{key}", closed[key][n], got)
+        (
+            f"n={n}, family=q{key}",
+            closed[key][n],
+            counted[Discipline.NON_CROSSING][n][key][Constraint.NONE],
+        )
         for n in range(1, max_n + 1)
-        for key, got in count_122_family(n).items()
+        for key in FAMILIES_122
     )
     record(f"oracle vs 122 closed forms, n<={max_n}", failure)
 

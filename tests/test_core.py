@@ -35,6 +35,25 @@ def test_word_validation():
         Word((1, 1, 3, 3))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [(1, 2, 2), (1, 2, 2, 3), (2, 2), (1, 1, 1, 2), ("1", "1"), (1, "1"), (None, None)],
+)
+def test_word_rejects_malformed_entries_with_validation_error(entries):
+    # ValidationError, never a TypeError from comparing odd entry types
+    with pytest.raises(ValidationError):
+        Word(entries)
+
+
+@pytest.mark.parametrize(
+    "text", ["\u00b2", "\uff11,\uff12,\uff12,\uff11", "\uff11\uff12\uff12\uff11"]
+)
+def test_word_parse_accepts_ascii_digits_only(text):
+    # superscript two, and fullwidth 1221 in comma and compact form
+    with pytest.raises(ValidationError):
+        Word.parse(text)
+
+
 def test_word_parse_both_forms():
     assert Word.parse("1221") == Word((1, 2, 2, 1))
     assert Word.parse("1,2,2,1") == Word((1, 2, 2, 1))

@@ -12,7 +12,7 @@ from ncnperms.enumeration import (
     dyck_words,
     labeled_words,
 )
-from ncnperms.patterns import Pattern
+from ncnperms.patterns import Pattern, avoids_all
 from ncnperms.recurrences import catalan
 
 P231 = frozenset({Pattern.parse("231")})
@@ -84,6 +84,26 @@ def test_count_avoiders_empty_word_constraints():
         assert counts[Constraint.FIRST_IS_1] == 0
         assert counts[Constraint.LAST_IS_N] == 0
         assert counts[Constraint.BOTH] == 0
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_several_pattern_sets_from_one_pass(discipline):
+    # sets share patterns, so a test result reused across sets must not leak
+    p = {text: Pattern.parse(text) for text in ("231", "122", "321", "1221")}
+    families = {
+        "all": (),
+        "231": (p["231"],),
+        "122": (p["122"],),
+        "122,231": (p["122"], p["231"]),
+        "321,231,1221": (p["321"], p["231"], p["1221"]),
+    }
+    for n in range(5):
+        counted = count_by_constraint(n, discipline, families)
+        assert list(counted) == list(families)
+        for key, patterns in families.items():
+            assert counted[key] == count_by_constraint(n, discipline, iter(patterns))
+            avoiders = sum(avoids_all(w, patterns) for w in labeled_words(n, discipline))
+            assert counted[key][Constraint.NONE] == avoiders, (n, key)
 
 
 def test_count_avoiders_baseline_is_factorial_times_catalan():

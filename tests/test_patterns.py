@@ -117,13 +117,26 @@ def test_avoidance_is_monotone_in_the_pattern_set(word, texts):
                 assert avoids_all(word, subset)
 
 
-@given(small_words())
-def test_contains_agrees_with_subsequence_definition(word):
-    # independent oracle: test all position subsets directly
-    pattern = Pattern.parse("231")
-    w = word.entries
-    expected = any(
-        (w[i] < w[j] and w[k] < w[i])
-        for i, j, k in combinations(range(len(w)), 3)
+def _occurs_by_definition(entries, letters) -> bool:
+    # some subsequence relates entry-by-entry as the pattern does: equal
+    # letters give equal entries, a smaller letter a strictly smaller entry
+    pairs = list(combinations(range(len(letters)), 2))
+    return any(
+        all(
+            (letters[a] == letters[b]) == (sub[a] == sub[b])
+            and (letters[a] < letters[b]) == (sub[a] < sub[b])
+            for a, b in pairs
+        )
+        for sub in combinations(entries, len(letters))
     )
-    assert contains(word, pattern) == expected
+
+
+def test_contains_agrees_with_subsequence_definition():
+    # every pattern the package uses, over every word with n <= 4
+    texts = "231 132 213 312 123 321 122 212 1212 2121 1221 2112".split()
+    words = [entries for n in range(5) for entries in all_words(n)]
+    for text in texts:
+        pattern = Pattern.parse(text)
+        for entries in words:
+            expected = _occurs_by_definition(entries, pattern.letters)
+            assert contains(Word(entries), pattern) == expected, (text, entries)

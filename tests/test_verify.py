@@ -1,8 +1,13 @@
+import dataclasses
+
+import pytest
+
 from ncnperms.core import Word
 from ncnperms.recurrences import (
     NonNesting231System,
     SequenceTable,
     closed_form_122,
+    noncrossing_231_system,
     nonnesting_231_system,
 )
 from ncnperms.verify import (
@@ -46,6 +51,55 @@ def test_corrupted_table_is_caught():
     assert "n=3" in failed.detail and "p231" in failed.detail
 
 
+def _bump(table: SequenceTable, index: int) -> SequenceTable:
+    values = list(table.values)
+    values[index - table.first_index] += 1
+    return SequenceTable(table.name, tuple(values), first_index=table.first_index)
+
+
+ORACLE_NN = "oracle vs non-nesting 231 tables, n<=4"
+ORACLE_NC = "oracle vs non-crossing 231 tables, n<=4"
+TAIL = "tail-difference identities, order 20"
+
+
+@pytest.mark.parametrize(
+    "system, field, failures",
+    [
+        ("nonnesting", "unconstrained", [
+            (ORACLE_NN, "n=3, family=p231, expected 18, got 17"),
+            ("series solver vs p231, order 20", "n=3, family=p231, expected 18, got 17"),
+            (TAIL, "r231[4] - r231[3] != p231[3]"),
+        ]),
+        ("nonnesting", "first_is_1", [
+            (ORACLE_NN, "n=3, family=q231, expected 10, got 9"),
+            (TAIL, "rprime231[4] - rprime231[3] != q231[3]"),
+        ]),
+        ("nonnesting", "last_is_n", [
+            (ORACLE_NN, "n=3, family=r231, expected 7, got 6"),
+            (TAIL, "r231[3] - r231[2] != p231[2]"),
+        ]),
+        ("nonnesting", "both", [
+            (ORACLE_NN, "n=3, family=rprime231, expected 5, got 4"),
+            (TAIL, "rprime231[3] - rprime231[2] != q231[2]"),
+        ]),
+        ("noncrossing", "unconstrained", [
+            (ORACLE_NC, "n=3, family=pbar231, expected 20, got 19"),
+            ("series solver vs pbar231, order 20", "n=3, family=pbar231, expected 20, got 19"),
+        ]),
+        ("noncrossing", "first_is_1", [
+            (ORACLE_NC, "n=3, family=qbar231, expected 8, got 7"),
+            ("composition sum vs qbar231, n<=8", "n=3, expected 8, got 7"),
+        ]),
+    ],
+)
+def test_each_corrupted_231_table_fails_with_exact_details(system, field, failures):
+    build = nonnesting_231_system if system == "nonnesting" else noncrossing_231_system
+    good = build(20)
+    corrupted = dataclasses.replace(good, **{field: _bump(getattr(good, field), 3)})
+    results = run_verification(Level.QUICK, **{system: corrupted})
+    assert [(r.name, r.detail) for r in results if not r.passed] == failures
+
+
 def test_window_traffic_check():
     assert window_traffic_ok(Word.parse("1221"))
     assert window_traffic_ok(Word(()))
@@ -79,16 +133,19 @@ def test_count_122_family_small():
 
 
 def test_closed_forms_are_checked_against_the_library(monkeypatch):
-    def corrupted(sigma, limit):
-        table = closed_form_122(sigma, limit)
-        if str(sigma) != "213":
-            return table
-        values = list(table.values)
-        values[2] += 1  # index 3
-        return SequenceTable(table.name, tuple(values), first_index=table.first_index)
+    cases = [
+        ("213", 3, "n=3, family=q122,213, expected 4, got 3"),
+        ("None", 4, "n=4, family=q122, expected 15, got 14"),
+        ("321", 3, "n=3, family=q122,321, expected 1, got 0"),
+    ]
+    for target, n, detail in cases:
 
-    monkeypatch.setattr("ncnperms.verify.closed_form_122", corrupted, raising=False)
-    failed = first_failure(run_verification(Level.QUICK))
-    assert failed is not None
-    assert failed.name.startswith("oracle vs 122 closed forms")
-    assert failed.detail == "n=3, family=q122,213, expected 4, got 3"
+        def corrupted(sigma, limit):
+            table = closed_form_122(sigma, limit)
+            return _bump(table, n) if str(sigma) == target else table
+
+        monkeypatch.setattr("ncnperms.verify.closed_form_122", corrupted, raising=False)
+        failures = [r for r in run_verification(Level.QUICK) if not r.passed]
+        assert [(r.name, r.detail) for r in failures] == [
+            ("oracle vs 122 closed forms, n<=4", detail)
+        ]
