@@ -2,7 +2,8 @@
 permutations of the multiset {1,1,...,n,n}.
 
 Three independent computation routes -- brute-force enumeration, exact
-convolution recurrences, and an implicit-equation series solver -- plus
+recurrences (convolution systems continued by P-recursive recurrences), and
+an implicit-equation series solver -- plus
 growth-rate analysis, all cross-validated against each other.
 """
 

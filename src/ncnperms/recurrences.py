@@ -4,9 +4,22 @@ Splitting a 231-avoiding word at the two positions of its largest label
 decomposes it into smaller words of the same kind, which turns the counts
 into closed convolution systems.  Coefficients are extracted jointly in
 increasing index order; every product on a right-hand side only involves
-earlier indices, so each step is forced.  All arithmetic is exact integer
-arithmetic -- the tables remain correct for indices in the hundreds, where
-entries run to hundreds of digits.
+earlier indices, so each step is forced.  Index n costs O(n) big-integer
+products, so a table to N costs O(N^2) of them.
+
+The generating functions are algebraic, hence D-finite (Stanley 1980), so
+every table also satisfies a linear recurrence with polynomial coefficients,
+sum_k c_k(n) a(n + k) = 0, of order r <= 15.  The public systems take only
+the first r terms from the convolution system and continue p, q, pbar and
+qbar by those recurrences (``P_RECURSIVE``): about r big-by-small products
+and one exact division per term.  The recurrences were found by guessing
+over the convolution tables, modular linear algebra plus rational
+reconstruction in the style of Kauers & Paule, *The Concrete Tetrahedron*,
+ch. 7; ``tests/guess_recurrences.py`` re-derives them, and the tests check
+the unrolled tables against the convolution systems to index 1000 and
+against the series solver.  The convolution systems stay as the reference
+route.  All arithmetic is exact integer arithmetic; a division that does not
+come out even raises ArithmeticError.
 
 Table conventions: a sequence whose definition requires a first or last
 entry (the "starts with 1" / "ends with n" variants) has value 0 at index 0;
@@ -120,8 +133,9 @@ def _conv(a: list[int], b: list[int], m: int) -> int:
     return sum(a[i] * b[m - i] for i in range(m + 1))
 
 
-def nonnesting_231_system(limit: int) -> NonNesting231System:
-    """Tables to index ``limit`` for 231-avoiding non-nesting words.
+def _nonnesting_convolution(limit: int) -> NonNesting231System:
+    """Tables to index ``limit`` for 231-avoiding non-nesting words, by the
+    convolution system alone: the reference route.
 
     The counts satisfy, with p/q/r/r' the four generating functions
     (unconstrained, first=1, last=n, both):
@@ -168,8 +182,9 @@ def nonnesting_231_system(limit: int) -> NonNesting231System:
     )
 
 
-def noncrossing_231_system(limit: int) -> NonCrossing231System:
-    """Tables to index ``limit`` for 231-avoiding non-crossing words.
+def _noncrossing_convolution(limit: int) -> NonCrossing231System:
+    """Tables to index ``limit`` for 231-avoiding non-crossing words, by the
+    convolution system alone: the reference route.
 
     With p/q the unconstrained and first=1 generating functions:
 
@@ -194,6 +209,223 @@ def noncrossing_231_system(limit: int) -> NonCrossing231System:
         pq_n = sum(p[i] * q[n - i] for i in range(n))  # i = n term has q[0] = 0
         p[n] = cube_m - square[m] + pq_n
         square[n] = _conv(p, p, n)
+    return NonCrossing231System(
+        unconstrained=SequenceTable("pbar231", tuple(p)),
+        first_is_1=SequenceTable("qbar231", tuple(q)),
+    )
+
+
+#: Linear recurrences with polynomial coefficients: entry c[k][j] of a family
+#: is the coefficient of n^j * a(n + k) in sum_k c_k(n) a(n + k) = 0.  Each
+#: holds on the whole table from n = 0; tests/guess_recurrences.py re-derives
+#: them from the convolution tables and prints this table.
+P_RECURSIVE: dict[str, tuple[tuple[int, ...], ...]] = {
+    "p231": (
+        (0, -64, -64),
+        (768, 1088, 320),
+        (-2688, -3200, -800),
+        (10176, 4144, 400),
+        (105792, 48528, 5472),
+        (112656, 39872, 3488),
+        (13224, -5460, -1068),
+        (-127368, -34150, -2266),
+        (-274560, -57633, -3003),
+        (-4176, -2192, -176),
+        (144852, 24801, 1059),
+        (-23442, -3664, -142),
+        (10152, 1553, 59),
+        (-3210, -454, -16),
+        (240, 31, 1),
+    ),
+    "q231": (
+        (0, 224, 112),
+        (1584, 2120, 424),
+        (4752, 4536, 840),
+        (77832, 45932, 6508),
+        (403320, 179342, 19522),
+        (588288, 213225, 18933),
+        (-284742, -83709, -6270),
+        (-1390455, -362238, -23451),
+        (-859416, -203698, -11840),
+        (445782, 80921, 3721),
+        (605856, 107645, 4780),
+        (127839, 22028, 937),
+        (-14700, -1800, -54),
+        (-150, -40, -2),
+        (-3840, -528, -18),
+        (510, 64, 2),
+    ),
+    "pbar231": (
+        (0, 282274, 801890, 429752, -89864),
+        (-9577764, -28913800, -28186301, -9266471, -416206),
+        (-342698046, -221739437, 33002595, 40546439, 5723769),
+        (5595012864, 3992208012, 954022328, 123902244, 13156768),
+        (-1330532664, 4631253688, 3935379900, 1005439709, 83246325),
+        (137546787774, 79642503219, 14900180823, 903041262, 0),
+        (-304475836314, -160175924045, -31192701453, -2657398591, -83246325),
+        (-104831779944, -42066401464, -6417061844, -454995548, -13156768),
+        (-35924141376, -16702785326, -2850426402, -211299397, -5723769),
+        (-3137932470, -556663407, 24558314, 9046593, 416206),
+        (1793775060, 617076606, 78621190, 4383768, 89864),
+    ),
+    "qbar231": (
+        (
+            0,
+            63764333428869598177106112,
+            127528666857739196354212224,
+            -63764333428869598177106112,
+            -127528666857739196354212224,
+        ),
+        (
+            0,
+            76755949640159724275824839228,
+            89866327089580592924620241522,
+            31096102685751518848291473042,
+            3680251527005272898758202308,
+        ),
+        (
+            -443315059590271801903392734700,
+            -829013479619865377035088334356,
+            -601435524804415148077881863889,
+            -174779621573215397461257194548,
+            -16264411635695333718022404075,
+        ),
+        (
+            -1757845224011869761625147618896,
+            -1854035115410737705841846475394,
+            -679519273571078620513376985989,
+            -65700226196639185929036171110,
+            4897553834962847563274233901,
+        ),
+        (
+            -69689380237917642721803702160656,
+            -73296097446046736703112790149494,
+            -28662498915088094556854619936257,
+            -4899259163788726411214361878694,
+            -308045921068477644508196291443,
+        ),
+        (
+            -231971376462295160963699372284272,
+            -155315606890027158483489289346230,
+            -36157339515090141961362186759505,
+            -3198955796344614854991650604506,
+            -66278153385232379272655546567,
+        ),
+        (
+            -1366249422738806403352080634618176,
+            -804229432055911285307455382075482,
+            -174089604663699489290559291977315,
+            -16354709245789436573796427704638,
+            -559894519660567408500546677053,
+        ),
+        (
+            -1281208682528446636068385131539016,
+            -643268291439128408934180513027630,
+            -119853245646874871367511060302839,
+            -9786465126567912714901986467490,
+            -294190342220074225268909124505,
+        ),
+        (
+            -172990610638793127718541565492600,
+            -89874798114812282628742317409258,
+            -17140709944915686128154503611443,
+            -1425530297544807170669625836450,
+            -43697097053271035966740090449,
+        ),
+        (
+            -78928614939706879462036314378840,
+            -34580574875471038408213556253014,
+            -5654556777772058359783826833573,
+            -408971952643878405039692878576,
+            -11039340868167607368140944337,
+        ),
+        (
+            21773936871565734755795232208212,
+            9414730807652352476087354713038,
+            1519996013042793163356626884584,
+            108592052656491898744254767802,
+            2896291682277364042320668844,
+        ),
+    ),
+}
+
+
+def _initial_terms(*families: str) -> int:
+    """How many leading terms the convolution system supplies: the largest
+    order among ``families``."""
+    return max(len(P_RECURSIVE[family]) for family in families) - 1
+
+
+def _horner(poly: tuple[int, ...], n: int) -> int:
+    value = 0
+    for coefficient in reversed(poly):
+        value = value * n + coefficient
+    return value
+
+
+def _unroll(family: str, values: list[int], limit: int) -> None:
+    """Extend ``values`` in place to index ``limit`` by the stored recurrence.
+
+    Each new term costs one exact division by the leading polynomial; a zero
+    divisor or a remainder raises ArithmeticError, never a truncated value.
+    """
+    recurrence = P_RECURSIVE[family]
+    order = len(recurrence) - 1
+    *lower, leading = recurrence
+    for index in range(len(values), limit + 1):
+        n = index - order
+        divisor = _horner(leading, n)
+        if divisor == 0:
+            raise ArithmeticError(
+                f"{family}: leading coefficient of the recurrence vanishes "
+                f"at index {index}"
+            )
+        total = sum(_horner(poly, n) * values[n + k] for k, poly in enumerate(lower))
+        quotient, remainder = divmod(-total, divisor)
+        if remainder:
+            raise ArithmeticError(
+                f"{family}: recurrence leaves a remainder at index {index}"
+            )
+        values.append(quotient)
+
+
+def nonnesting_231_system(limit: int) -> NonNesting231System:
+    """Tables to index ``limit`` for 231-avoiding non-nesting words.
+
+    The convolution system supplies the first terms, p and q continue by
+    their stored recurrences, and r, r' by their prefix sums
+    r(n) = p(n-1) + r(n-1), r'(n) = q(n-1) + r'(n-1).
+    """
+    if limit < 0:
+        raise ValidationError("table limit must be non-negative")
+    seed = _nonnesting_convolution(min(limit, _initial_terms("p231", "q231") - 1))
+    p, q, r, rp = (
+        list(table.values)
+        for table in (seed.unconstrained, seed.first_is_1, seed.last_is_n, seed.both)
+    )
+    _unroll("p231", p, limit)
+    _unroll("q231", q, limit)
+    for n in range(len(r), limit + 1):
+        r.append(p[n - 1] + r[n - 1])
+        rp.append(q[n - 1] + rp[n - 1])
+    return NonNesting231System(
+        unconstrained=SequenceTable("p231", tuple(p)),
+        first_is_1=SequenceTable("q231", tuple(q)),
+        last_is_n=SequenceTable("r231", tuple(r)),
+        both=SequenceTable("rprime231", tuple(rp)),
+    )
+
+
+def noncrossing_231_system(limit: int) -> NonCrossing231System:
+    """Tables to index ``limit`` for 231-avoiding non-crossing words: the
+    convolution system supplies the first terms, and both tables continue
+    by their stored recurrences."""
+    if limit < 0:
+        raise ValidationError("table limit must be non-negative")
+    seed = _noncrossing_convolution(min(limit, _initial_terms("pbar231", "qbar231") - 1))
+    p, q = list(seed.unconstrained.values), list(seed.first_is_1.values)
+    _unroll("pbar231", p, limit)
+    _unroll("qbar231", q, limit)
     return NonCrossing231System(
         unconstrained=SequenceTable("pbar231", tuple(p)),
         first_is_1=SequenceTable("qbar231", tuple(q)),

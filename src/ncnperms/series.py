@@ -115,6 +115,17 @@ class TruncatedSeries:
         return [str(c) for c in self.coefficients]
 
 
+def _power_table(
+    y: list[RationalLike], order: int, degree: int
+) -> list[list[RationalLike]]:
+    """y^0 .. y^degree, each truncated to coefficients 0..order."""
+    y = (y + [0] * (order + 1))[: order + 1]
+    powers = [[1] + [0] * order, y][: degree + 1]
+    while len(powers) <= degree:
+        powers.append(_truncated_product(powers[-1], y, order))
+    return powers
+
+
 @dataclass(frozen=True)
 class BivariatePolynomial:
     """An integer polynomial in x and y, stored as (x-degree, y-degree) -> coefficient."""
@@ -147,12 +158,19 @@ class BivariatePolynomial:
             {(i, j - 1): c * j for (i, j), c in self.coefficients.items() if j > 0}
         )
 
-    def compose(self, y: list[RationalLike], order: int) -> list[RationalLike]:
-        """Coefficients 0..order of F(x, y(x)) for y given as a coefficient list."""
-        y = (y + [0] * (order + 1))[: order + 1]
-        powers = [[1] + [0] * order]
-        for _ in range(self.y_degree):
-            powers.append(_truncated_product(powers[-1], y, order))
+    def compose(
+        self,
+        y: list[RationalLike],
+        order: int,
+        powers: list[list[RationalLike]] | None = None,
+    ) -> list[RationalLike]:
+        """Coefficients 0..order of F(x, y(x)) for y given as a coefficient list.
+
+        ``powers``, from ``_power_table(y, order, d)`` with d >= the y-degree,
+        saves rebuilding the powers of y when several polynomials share them.
+        """
+        if powers is None:
+            powers = _power_table(y, order, self.y_degree)
         out = [0] * (order + 1)
         for (i, j), c in self.coefficients.items():
             if i > order:
@@ -200,8 +218,9 @@ def _solve_newton(
     correct = 0
     while correct < order:
         correct = min(2 * correct + 1, order)
-        value = equation.compose(coeffs, correct)
-        slope = derivative.compose(coeffs, correct)
+        powers = _power_table(coeffs, correct, equation.y_degree)
+        value = equation.compose(coeffs, correct, powers)
+        slope = derivative.compose(coeffs, correct, powers)
         update = _truncated_product(value, _reciprocal(slope, correct), correct)
         coeffs = (coeffs + [0] * (correct + 1 - len(coeffs)))[: correct + 1]
         coeffs = [coeffs[m] - update[m] for m in range(correct + 1)]

@@ -1,8 +1,9 @@
 """Cross-validation: every number this package produces is computed at least
 two independent ways, and this module runs the comparisons.
 
-Routes compared: brute-force enumeration, the convolution recurrences, the
-implicit-equation series solver, and the closed forms.  On top of the value
+Routes compared: brute-force enumeration, the recurrence tables (convolution
+systems continued by P-recursive recurrences), the implicit-equation series
+solver, and the closed forms.  On top of the value
 comparisons there are structural checks on the enumerated words themselves
 (what may happen inside the window spanned by the largest label, and which
 labelings of a non-crossing matching avoid 122).
@@ -209,7 +210,7 @@ def run_verification(
         )
         record(f"baseline count n!*C(n), {disc.value}, n<={max_n}", failure)
 
-    # Brute force vs the convolution tables: all four constraints for
+    # Brute force vs the recurrence tables: all four constraints for
     # non-nesting, the two that exist for non-crossing.
     for disc, tables in (
         (
@@ -248,7 +249,7 @@ def run_verification(
     )
     record(f"oracle vs 122 closed forms, n<={max_n}", failure)
 
-    # Series solver vs the convolution tables.
+    # Series solver vs the recurrence tables.
     for disc, table in (
         (Discipline.NON_NESTING, nn.unconstrained),
         (Discipline.NON_CROSSING, nc.unconstrained),

@@ -1,11 +1,17 @@
+import math
+
 import pytest
 
+import guess_recurrences
 from ncnperms.core import Discipline, ResourceLimitError, ValidationError
 from ncnperms.enumeration import Constraint, count_by_constraint
 from ncnperms.patterns import Pattern
 from ncnperms.recurrences import (
     FAMILIES,
+    P_RECURSIVE,
     SequenceTable,
+    _noncrossing_convolution,
+    _nonnesting_convolution,
     catalan,
     closed_form_122,
     family_table,
@@ -69,6 +75,72 @@ def test_base_cases():
     assert system.first_is_1[2] == 2
     assert system.both[2] == 2  # q(1) + rprime(1)
     assert noncrossing_231_system(2).first_is_1.values == (0, 1, 2)
+
+
+def _all_tables(nonnesting, noncrossing):
+    return (
+        nonnesting.unconstrained,
+        nonnesting.first_is_1,
+        nonnesting.last_is_n,
+        nonnesting.both,
+        noncrossing.unconstrained,
+        noncrossing.first_is_1,
+    )
+
+
+def test_recurrences_match_convolution_to_certified_range():
+    # TABLE_CAP = 1000 is the range this certifies
+    unrolled = _all_tables(nonnesting_231_system(1000), noncrossing_231_system(1000))
+    reference = _all_tables(_nonnesting_convolution(1000), _noncrossing_convolution(1000))
+    for table, expected in zip(unrolled, reference):
+        assert table.name == expected.name
+        assert table.values == expected.values
+
+
+def test_recurrences_match_convolution_across_the_handover():
+    largest_order = max(len(recurrence) for recurrence in P_RECURSIVE.values()) - 1
+    for limit in range(largest_order + 3):
+        unrolled = _all_tables(nonnesting_231_system(limit), noncrossing_231_system(limit))
+        reference = _all_tables(
+            _nonnesting_convolution(limit), _noncrossing_convolution(limit)
+        )
+        assert unrolled == reference, limit
+
+
+def test_unroll_raises_on_a_remainder(monkeypatch):
+    # p231 has order 14, so index 15 is its first unrolled term (shift n = 1,
+    # divisor c_14(1) = 272); adding 1 to c_0's constant adds a(1) = 1 to a
+    # sum that the divisor divided exactly
+    c = P_RECURSIVE["p231"]
+    monkeypatch.setitem(P_RECURSIVE, "p231", ((c[0][0] + 1,) + c[0][1:],) + c[1:])
+    with pytest.raises(ArithmeticError, match="p231.*remainder at index 15"):
+        nonnesting_231_system(20)
+    assert nonnesting_231_system(14) == _nonnesting_convolution(14)
+
+
+def test_unroll_raises_on_a_vanishing_leading_coefficient(monkeypatch):
+    # qbar231 has order 10; a leading polynomial n vanishes at its first
+    # unrolled term, index 10
+    c = P_RECURSIVE["qbar231"]
+    monkeypatch.setitem(P_RECURSIVE, "qbar231", c[:-1] + ((0, 1),))
+    with pytest.raises(ArithmeticError, match="qbar231.*vanishes at index 10"):
+        noncrossing_231_system(20)
+
+
+def test_stored_recurrences_are_rederived_from_the_convolution_tables():
+    assert guess_recurrences.derive_all() == P_RECURSIVE
+    for family, (order, degree) in guess_recurrences.SHAPES.items():
+        recurrence = P_RECURSIVE[family]
+        assert (len(recurrence) - 1, len(recurrence[0]) - 1) == (order, degree)
+        assert math.gcd(*(c for poly in recurrence for c in poly)) == 1
+        # positive coefficients: the leading polynomial has no root n >= 0
+        assert all(c > 0 for c in recurrence[-1])
+    tables = guess_recurrences.reference_tables()
+    prime = next(guess_recurrences.primes_below_2_61())
+    for family, (order, degree) in guess_recurrences.SHAPES.items():
+        count = (order + 1) * (degree + 1) - 1 + guess_recurrences.SURPLUS
+        rows = guess_recurrences.equations(tables[family], order, degree, count)
+        assert len(guess_recurrences.kernel_mod(rows, prime)) == 1
 
 
 def test_tail_difference_identities():

@@ -108,12 +108,12 @@ def test_residual_detects_non_solutions():
     assert res == series(0, 0, -4)
 
 
-def test_solver_agrees_with_recurrences_to_order_400():
-    nn = nonnesting_231_system(400).unconstrained
-    nc = noncrossing_231_system(400).unconstrained
-    cubic = solve_algebraic(builtin_equation(Discipline.NON_NESTING), 1, 400)
-    quartic = solve_algebraic(builtin_equation(Discipline.NON_CROSSING), 1, 400)
-    for n in range(401):
+def test_solver_agrees_with_recurrences_to_order_600():
+    nn = nonnesting_231_system(600).unconstrained
+    nc = noncrossing_231_system(600).unconstrained
+    cubic = solve_algebraic(builtin_equation(Discipline.NON_NESTING), 1, 600)
+    quartic = solve_algebraic(builtin_equation(Discipline.NON_CROSSING), 1, 600)
+    for n in range(601):
         assert cubic[n] == nn[n]
         assert quartic[n] == nc[n]
 
