@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import formats
 from .core import Discipline, ResourceLimitError, ValidationError
@@ -124,6 +124,17 @@ def _check_table_cap(limit: int, force: bool) -> None:
         )
 
 
+def _check_printable(values: Iterable[int]) -> None:
+    """Refuse, before anything is printed or written, a value with more
+    digits than Python's int-to-string limit allows."""
+    str_limit = sys.get_int_max_str_digits()  # 0 means Python sets no limit
+    if str_limit and max(map(abs, values), default=0) >= 10**str_limit:
+        raise ValidationError(
+            f"a value has more than {str_limit} digits, Python's int-to-string "
+            "limit (sys.get_int_max_str_digits()); lower -N"
+        )
+
+
 def _table_provenance(family: str) -> Provenance:
     return Provenance.CLOSED_FORM if family.startswith("q122") else Provenance.RECURRENCE
 
@@ -131,6 +142,7 @@ def _table_provenance(family: str) -> Provenance:
 def cmd_seq(args: argparse.Namespace) -> OutputRecord:
     _check_table_cap(args.limit, args.force)
     table = family_table(args.family, args.limit)
+    _check_printable(table.values)
     provenance = _table_provenance(args.family)
     results = tuple(
         Result(str(v), provenance, label=str(n)) for n, v in table.items()
@@ -147,6 +159,7 @@ def cmd_series(args: argparse.Namespace) -> OutputRecord:
     _check_table_cap(args.limit, args.force)
     which = Discipline(args.which)
     solved = solve_algebraic(builtin_equation(which), 1, args.limit)
+    _check_printable(x for c in solved.coefficients for x in (c.numerator, c.denominator))
     results = tuple(
         Result(text, Provenance.SERIES, label=str(n))
         for n, text in enumerate(solved.coefficient_strings())
@@ -218,6 +231,7 @@ def _resolve_output_path(args: argparse.Namespace) -> Path:
 def cmd_export(args: argparse.Namespace) -> OutputRecord:
     _check_table_cap(args.limit, args.force)
     table = family_table(args.family, args.limit)
+    _check_printable(table.values)
     text = formats.EMITTERS[args.format](table)
     path = _resolve_output_path(args)
     path.write_text(text)

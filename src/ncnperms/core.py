@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ValidationError(ValueError):
@@ -194,11 +194,21 @@ def matching_to_word(matching: Matching) -> Word:
     """Inverse of :func:`word_to_matching`: write each label at both of its
     arc endpoints.
     """
-    entries = [0] * (2 * matching.semilength)
-    for arc in matching.arcs:
-        entries[arc.opener - 1] = arc.label
-        entries[arc.closer - 1] = arc.label
-    return Word(tuple(entries))
+    pairs = [(arc.opener, arc.closer) for arc in matching.arcs]
+    return next(shape_words(pairs, [[arc.label for arc in matching.arcs]]))
+
+
+def shape_words(
+    pairs: Sequence[tuple[int, int]], labelings: Iterable[Sequence[int]]
+) -> Iterator[Word]:
+    """One word per labeling of a shape: the k-th label goes to both
+    positions of the k-th (opener, closer) pair, and the pairs cover 1..2n.
+    """
+    entries = [0] * (2 * len(pairs))
+    for labels in labelings:
+        for (a, b), lab in zip(pairs, labels):
+            entries[a - 1] = entries[b - 1] = lab
+        yield Word(tuple(entries))
 
 
 def dyck_to_matching(

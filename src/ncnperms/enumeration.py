@@ -24,6 +24,7 @@ from .core import (
     ValidationError,
     Word,
     pair_steps,
+    shape_words,
 )
 from .patterns import Pattern, contains
 
@@ -94,14 +95,7 @@ def labeled_words(n: int, discipline: Discipline) -> Iterator[Word]:
     """
     labelings = list(permutations(range(1, n + 1)))
     for dyck in dyck_words(n):
-        pairs = pair_steps(dyck, discipline)
-        size = 2 * n
-        for labels in labelings:
-            entries = [0] * size
-            for (a, b), lab in zip(pairs, labels):
-                entries[a - 1] = lab
-                entries[b - 1] = lab
-            yield Word(tuple(entries))
+        yield from shape_words(pair_steps(dyck, discipline), labelings)
 
 
 def count_by_constraint(

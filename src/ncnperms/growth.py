@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import Discipline, ValidationError
-from .recurrences import SequenceTable
+from .recurrences import SequenceTable, horner
 
 MAX_SCAN_SUBDIVISIONS = 40
 MAX_GROWTH_PLACES = 60  # growth_rate refuses a tolerance finer than 10**-60
@@ -52,10 +52,7 @@ class IntPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return Fraction(horner(self.coefficients, x))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from fractions import Fraction
+from typing import Iterator, Sequence
 
 from .core import ResourceLimitError, ValidationError
 from .patterns import Pattern
@@ -129,7 +130,7 @@ def fibonacci(n: int) -> int:
 
 
 def _conv(a: list[int], b: list[int], m: int) -> int:
-    """Coefficient m of the product of two coefficient lists."""
+    """Coefficient m of a product: the reference route's own, apart from the solver's."""
     return sum(a[i] * b[m - i] for i in range(m + 1))
 
 
@@ -205,9 +206,8 @@ def _noncrossing_convolution(limit: int) -> NonCrossing231System:
     for n in range(1, size):
         m = n - 1
         q[n] = p[n - 1] + _conv(p, q, m)
-        cube_m = sum(square[i] * p[m - i] for i in range(m + 1))
-        pq_n = sum(p[i] * q[n - i] for i in range(n))  # i = n term has q[0] = 0
-        p[n] = cube_m - square[m] + pq_n
+        # the i = n term of p q is p[n] * q[0] = 0, so p[n] is not needed yet
+        p[n] = _conv(square, p, m) - square[m] + _conv(p, q, n)
         square[n] = _conv(p, p, n)
     return NonCrossing231System(
         unconstrained=SequenceTable("pbar231", tuple(p)),
@@ -356,10 +356,11 @@ def _initial_terms(*families: str) -> int:
     return max(len(P_RECURSIVE[family]) for family in families) - 1
 
 
-def _horner(poly: tuple[int, ...], n: int) -> int:
+def horner(poly: Sequence[int], x: int | Fraction) -> int | Fraction:
+    """The polynomial with coefficients ``poly`` (constant first) at x."""
     value = 0
     for coefficient in reversed(poly):
-        value = value * n + coefficient
+        value = value * x + coefficient
     return value
 
 
@@ -374,13 +375,13 @@ def _unroll(family: str, values: list[int], limit: int) -> None:
     *lower, leading = recurrence
     for index in range(len(values), limit + 1):
         n = index - order
-        divisor = _horner(leading, n)
+        divisor = horner(leading, n)
         if divisor == 0:
             raise ArithmeticError(
                 f"{family}: leading coefficient of the recurrence vanishes "
                 f"at index {index}"
             )
-        total = sum(_horner(poly, n) * values[n + k] for k, poly in enumerate(lower))
+        total = sum(horner(poly, n) * values[n + k] for k, poly in enumerate(lower))
         quotient, remainder = divmod(-total, divisor)
         if remainder:
             raise ArithmeticError(

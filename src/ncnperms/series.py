@@ -37,14 +37,13 @@ def _narrow(value: Fraction) -> RationalLike:
 def _truncated_product(
     a: Sequence[RationalLike], b: Sequence[RationalLike], order: int
 ) -> list[RationalLike]:
-    """Coefficients 0..order of the Cauchy product of two coefficient lists,
-    each holding at least order + 1 terms; int inputs give int outputs."""
+    """Cauchy product to x**order: the solver's own, apart from recurrences._conv."""
     return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(order + 1)]
 
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """A power series known exactly up to x**order, nothing beyond."""
+    """The solver's result: a power series known exactly up to x**order."""
 
     coefficients: tuple[Fraction, ...]
 
@@ -60,45 +59,6 @@ class TruncatedSeries:
 
     def __getitem__(self, n: int) -> Fraction:
         return self.coefficients[n]
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Coefficientwise sum, truncated to the smaller order."""
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self[i] + other[i] for i in range(order + 1))
-        )
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self[i] - other[i] for i in range(order + 1))
-        )
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, truncated to the smaller order."""
-        order = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(_truncated_product(self.coefficients, other.coefficients, order))
-        )
-
-    def scale(self, factor: RationalLike) -> "TruncatedSeries":
-        factor = Fraction(factor)
-        return TruncatedSeries(tuple(c * factor for c in self.coefficients))
-
-    def shift_by_x(self) -> "TruncatedSeries":
-        """Multiply by x; the order grows by one, no information is lost."""
-        return TruncatedSeries((Fraction(0),) + self.coefficients)
-
-    def truncate(self, order: int) -> "TruncatedSeries":
-        if order > self.order:
-            raise ValidationError(
-                f"cannot extend a series of order {self.order} to {order}"
-            )
-        return TruncatedSeries(self.coefficients[: order + 1])
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)

@@ -58,12 +58,29 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _max_label_window(word: Word) -> tuple[int, int]:
-    """1-based positions (i, j) of the two occurrences of the largest label."""
-    n = word.semilength
-    first = word.entries.index(n) + 1
-    second = word.entries.index(n, first) + 1
-    return first, second
+def _window_scan(word: Word) -> tuple[list[int], list[int], tuple, tuple]:
+    """For the window strictly between the two positions of the largest
+    label: the labels of arcs that open before it and close inside it, the
+    labels of arcs that open inside it and close after it, and the entries
+    left and right of the window.
+    """
+    n, entries = word.semilength, word.entries
+    if n == 0:
+        return [], [], (), ()
+    i = entries.index(n) + 1
+    j = entries.index(n, i) + 1
+    closing: list[int] = []
+    opening: list[int] = []
+    seen: dict[int, int] = {}
+    for pos, lab in enumerate(entries, start=1):
+        if lab in seen:
+            if seen[lab] < i < pos < j:
+                closing.append(lab)
+            elif i < seen[lab] < j < pos:
+                opening.append(lab)
+        else:
+            seen[lab] = pos
+    return closing, opening, entries[: i - 1], entries[j:]
 
 
 def window_traffic_ok(word: Word) -> bool:
@@ -71,23 +88,8 @@ def window_traffic_ok(word: Word) -> bool:
     positions of the largest label.  Holds for every 231-avoiding
     non-nesting word.
     """
-    n = word.semilength
-    if n <= 1:
-        return True
-    i, j = _max_label_window(word)
-    closers = openers = 0
-    seen: dict[int, int] = {}
-    for pos, lab in enumerate(word.entries, start=1):
-        if lab == n:
-            continue
-        if lab in seen:
-            if seen[lab] < i and i < pos < j:
-                closers += 1
-            if i < seen[lab] < j and pos > j:
-                openers += 1
-        else:
-            seen[lab] = pos
-    return closers <= 1 and openers <= 1
+    closing, opening, _, _ = _window_scan(word)
+    return len(closing) <= 1 and len(opening) <= 1
 
 
 def window_extremes_ok(word: Word) -> bool:
@@ -96,25 +98,10 @@ def window_extremes_ok(word: Word) -> bool:
     smallest label seen after it.  Holds for every 231-avoiding non-nesting
     word.
     """
-    n = word.semilength
-    if n <= 1:
-        return True
-    i, j = _max_label_window(word)
-    entries = word.entries
-    left = entries[: i - 1]
-    right = entries[j:]
-    seen: dict[int, int] = {}
-    for pos, lab in enumerate(entries, start=1):
-        if lab == n:
-            continue
-        if lab in seen:
-            if seen[lab] < i and i < pos < j and lab != max(left):
-                return False
-            if i < seen[lab] < j and pos > j and lab != min(right):
-                return False
-        else:
-            seen[lab] = pos
-    return True
+    closing, opening, left, right = _window_scan(word)
+    return all(lab == max(left) for lab in closing) and all(
+        lab == min(right) for lab in opening
+    )
 
 
 def decreasing_labeling_is_unique_122_avoider(n: int) -> bool:
@@ -293,26 +280,22 @@ def run_verification(
 
     if level is Level.FULL:
         # Structure of 231-avoiding non-nesting words around the max label.
-        failure = ""
-        for n in range(6):
-            for word in labeled_words(n, Discipline.NON_NESTING):
-                if contains(word, PATTERN_231):
-                    continue
-                if not window_traffic_ok(word):
-                    failure = f"traffic violation at {word}"
-                    break
-                if not window_extremes_ok(word):
-                    failure = f"extremes violation at {word}"
-                    break
-            if failure:
-                break
+        window_rows = (
+            (f"{kind} violation at {word}", True, holds(word))
+            for n in range(6)
+            for word in labeled_words(n, Discipline.NON_NESTING)
+            if not contains(word, PATTERN_231)
+            for kind, holds in (("traffic", window_traffic_ok),
+                                ("extremes", window_extremes_ok))
+        )
+        failure = _first_mismatch(window_rows, values=False)
         record("max-label window structure, n<=5", failure)
 
-        failure = ""
-        for n in range(6):
-            if not decreasing_labeling_is_unique_122_avoider(n):
-                failure = f"bijection fails at n={n}"
-                break
+        unique_rows = (
+            (f"bijection fails at n={n}", True, decreasing_labeling_is_unique_122_avoider(n))
+            for n in range(6)
+        )
+        failure = _first_mismatch(unique_rows, values=False)
         record("unique 122-avoiding labeling per matching, n<=5", failure)
 
     return results

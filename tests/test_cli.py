@@ -146,6 +146,31 @@ def test_ratio_rejects_places_beyond_int_string_limit(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("seq", "p231", "-N", "815"),  # p231[815], pbar231[723]: first past 640 digits
+        ("seq", "p231", "-N", "815", "--format", "json"),
+        ("seq", "pbar231", "-N", "723", "--json"),
+        ("series", "non-crossing", "-N", "723"),
+        ("export", "p231", "-N", "815"),
+        ("export", "pbar231", "-N", "723", "--format", "csv"),
+    ],
+)
+def test_values_past_int_string_limit_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("NCNPERMS_OUTPUT_DIR", str(tmp_path))
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == "" and list(tmp_path.iterdir()) == []
+        assert err.startswith("error: ") and err.count("\n") == 1 and "640" in err
+        code, _, _ = run(capsys, *argv[:3], str(int(argv[3]) - 1))  # one lower fits
+        assert code == EXIT_OK
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("count", "--non-nesting", "--avoid", "\u00b2", "-n", "2"),
         ("count", "--non-nesting", "--avoid", "\uff12\uff11\uff13", "-n", "2"),
         ("seq", "q122,\u00b2", "-N", "3"),

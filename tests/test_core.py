@@ -15,7 +15,7 @@ from ncnperms.core import (
     matching_to_word,
     word_to_matching,
 )
-from ncnperms.enumeration import dyck_words
+from ncnperms.enumeration import dyck_words, labeled_words
 from ncnperms.patterns import is_non_crossing, is_non_nesting
 from ncnperms.recurrences import catalan
 
@@ -165,14 +165,14 @@ def test_shape_labeling_map_is_bijective(discipline):
     # (dyck word, labeling) -> word is injective and covers n! * C(n) words
     from itertools import permutations
 
+    # labeled_words yields exactly these words, in the same order
     for n in range(7):
-        seen = set()
-        total = 0
-        for dyck in dyck_words(n):
-            for labeling in permutations(range(1, n + 1)):
-                word = matching_to_word(dyck_to_matching(dyck, discipline, labeling))
-                seen.add(word.entries)
-                total += 1
+        words = [
+            matching_to_word(dyck_to_matching(dyck, discipline, labeling)).entries
+            for dyck in dyck_words(n)
+            for labeling in permutations(range(1, n + 1))
+        ]
         expected = math.factorial(n) * catalan(n)
-        assert total == expected
-        assert len(seen) == expected
+        assert len(words) == expected
+        assert len(set(words)) == expected
+        assert [word.entries for word in labeled_words(n, discipline)] == words

@@ -54,6 +54,10 @@ def test_bfile_parse_errors():
         parse_bfile("0 1 2\n")
     with pytest.raises(ValidationError):
         parse_bfile("0 1\n2 4\n")  # gap in indices
+    # ASCII digits only, and a bad field names its line
+    for bad in ("0 \uff11", "0 1_0", "0 x", "0 -1", "\u00b2 1", "0 1.5", "0 " + "1" * 5000):
+        with pytest.raises(ValidationError, match="line 2"):
+            parse_bfile(f"0 1\n{bad}\n")
 
 
 def test_csv_parse_errors():
@@ -61,6 +65,9 @@ def test_csv_parse_errors():
         parse_csv("value\n0,1\n")
     with pytest.raises(ValidationError):
         parse_csv("n,value\n")
+    for bad in ("0,\uff11", "0,1_0", "0,abc", "0", "0,1,2", "\uff10,1"):
+        with pytest.raises(ValidationError, match="line 3"):
+            parse_csv(f"n,value\n0,1\n{bad}\n")
 
 
 def test_json_parse_errors():
@@ -68,3 +75,8 @@ def test_json_parse_errors():
         parse_json("{not json")
     with pytest.raises(ValidationError):
         parse_json('{"name": "x"}')
+    cases = ((["\uff11"], 0), (["1_0"], 0), ([1.5], 0), ("12", 0), (["1"], "x"))
+    for values, offset in cases:
+        text = json.dumps({"name": "x", "offset": offset, "values": values})
+        with pytest.raises(ValidationError, match="JSON"):
+            parse_json(text)

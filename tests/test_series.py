@@ -27,32 +27,6 @@ def test_series_validation_and_order():
         TruncatedSeries(())
 
 
-def test_add_mul_scale_shift():
-    one_plus_x = series(1, 1, 0)
-    assert one_plus_x.mul(one_plus_x) == series(1, 2, 1)
-    geometric = series(1, 1, 1, 1)
-    assert geometric.mul(series(1, -1, 0, 0)) == series(1, 0, 0, 0)
-    assert series(1, 1).shift_by_x() == series(0, 1, 1)
-    assert series(1, 2).add(series(3, 4)) == series(4, 6)
-    assert series(1, 2).scale(Fraction(1, 2)) == series(Fraction(1, 2), 1)
-    assert (series(1, 1) + series(1, 1)) == series(2, 2)
-    assert (series(1, 1) - series(1, 1)).is_zero()
-
-
-def test_mixed_orders_resolve_to_smaller():
-    long = series(1, 1, 1, 1, 1)
-    short = series(1, 1)
-    assert long.mul(short).order == 1
-    assert long.add(short).order == 1
-
-
-def test_truncate():
-    s = series(1, 2, 3)
-    assert s.truncate(1) == series(1, 2)
-    with pytest.raises(ValidationError):
-        s.truncate(5)
-
-
 def test_render_and_strings():
     s = series(1, 0, Fraction(-4))
     assert s.render() == "1 + 0*x + -4*x^2"
@@ -156,7 +130,8 @@ def test_solver_agrees_with_recurrences_across_orders():
 
 def test_truncation_consistency():
     equation = builtin_equation(Discipline.NON_NESTING)
-    assert solve_algebraic(equation, 1, 30).truncate(12) == solve_algebraic(equation, 1, 12)
+    long, short = solve_algebraic(equation, 1, 30), solve_algebraic(equation, 1, 12)
+    assert long.coefficients[:13] == short.coefficients
 
 
 def test_solver_precondition_errors():

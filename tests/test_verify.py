@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from ncnperms.core import Word
+from ncnperms.core import Discipline, Word
+from ncnperms.enumeration import labeled_words
 from ncnperms.recurrences import (
     NonNesting231System,
     SequenceTable,
@@ -113,6 +114,17 @@ def test_window_extremes_check():
     # 2 opens inside the 3-window while the smaller 1 sits to the right
     assert not window_extremes_ok(Word.parse("323121"))
     assert window_extremes_ok(Word.parse("121323"))
+
+
+@pytest.mark.parametrize("n, traffic, extremes", [(3, 4, 8), (4, 96, 172), (5, 2016, 3240)])
+def test_window_predicate_failure_counts(n, traffic, extremes):
+    # over all words, not only 231-avoiders; no arc crosses into the window
+    # of a non-crossing word, so both predicates always hold there
+    words = list(labeled_words(n, Discipline.NON_NESTING))
+    assert sum(not window_traffic_ok(w) for w in words) == traffic
+    assert sum(not window_extremes_ok(w) for w in words) == extremes
+    for word in labeled_words(n, Discipline.NON_CROSSING):
+        assert window_traffic_ok(word) and window_extremes_ok(word)
 
 
 def test_unique_decreasing_labeling_small():
