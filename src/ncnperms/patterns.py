@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
+from itertools import permutations
+from typing import Iterable, Iterator, Sequence
 
 from .core import ValidationError, Word
 
@@ -126,6 +127,36 @@ def contains(word: Word, pattern: Pattern) -> bool:
         return False
 
     return search(0, 0)
+
+
+def occurrence_arcs(
+    pattern: Pattern, pairs: Sequence[tuple[int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """Each injective map from the pattern's letters to the arcs of a shape
+    under which the pattern fits the arcs' endpoints left to right, as the
+    tuple of arc indices (into ``pairs``) for letters 1, 2, ..., m.
+
+    ``pairs`` holds each arc's (opener, closer) positions.  Equal letters
+    fall on the two ends of one arc.  Each letter takes the earliest endpoint
+    of its arc after the previous letter's, which finds a fit whenever one
+    exists.  A labeled word of this shape then contains the pattern exactly
+    when its labels rise along one of the yielded tuples.
+
+    >>> list(occurrence_arcs(Pattern.parse("12"), [(1, 2), (3, 4)]))
+    [(0, 1)]
+    >>> list(occurrence_arcs(Pattern.parse("121"), [(1, 3), (2, 4)]))
+    [(0, 1), (1, 0)]
+    """
+    letters = pattern.letters
+    for arcs in permutations(range(len(pairs)), max(letters)):
+        at = 0  # position of the previous letter; 0 once a letter finds no room
+        for x in letters:
+            opener, closer = pairs[arcs[x - 1]]
+            at = opener if opener > at else closer if closer > at else 0
+            if not at:
+                break
+        else:
+            yield arcs
 
 
 def avoids_all(word: Word, patterns: Iterable[Pattern]) -> bool:

@@ -22,6 +22,7 @@ from ncnperms.recurrences import (
 )
 from ncnperms.series import builtin_equation, residual, solve_algebraic
 from ncnperms.verify import (
+    FAMILIES_122,
     count_122_family,
     decreasing_labeling_is_unique_122_avoider,
     window_extremes_ok,
@@ -157,3 +158,22 @@ def test_criterion_10_bfile_round_trip_all_families():
         for family in FAMILIES:
             table = family_table(family, 50)
             assert parse_bfile(to_bfile(table), name=family) == table
+
+
+def test_criterion_11_oracle_equivalence_at_7():
+    description = "brute force matches the six 231 tables and 122 closed forms at n = 7"
+    with criterion(11, description, 10.0):
+        n = 7
+        nn = count_by_constraint(n, Discipline.NON_NESTING, (P231,))
+        nc = count_by_constraint(n, Discipline.NON_CROSSING, {"231": (P231,)} | FAMILIES_122)
+        counted = {
+            "p231": nn[Constraint.NONE],
+            "q231": nn[Constraint.FIRST_IS_1],
+            "r231": nn[Constraint.LAST_IS_N],
+            "rprime231": nn[Constraint.BOTH],
+            "pbar231": nc["231"][Constraint.NONE],
+            "qbar231": nc["231"][Constraint.FIRST_IS_1],
+        }
+        counted |= {f"q{key}": nc[key][Constraint.NONE] for key in FAMILIES_122}
+        for family, count in counted.items():
+            assert family_table(family, n)[n] == count, family

@@ -45,6 +45,17 @@ def test_count_cap_exceeded(capsys):
     assert "seq" in err
 
 
+def test_count_at_the_default_cap(capsys):
+    code, out, _ = run(capsys, "count", "--non-crossing", "--avoid", "231", "-n", "7")
+    assert code == EXIT_OK and out.strip() == "22617"
+
+
+def test_count_negative_cap_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "count", "--non-nesting", "-n", "0", "--cap", "-1")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+
+
 def test_count_requires_discipline(capsys):
     with pytest.raises(SystemExit) as info:
         main(["count", "-n", "2"])

@@ -86,24 +86,57 @@ def test_count_avoiders_empty_word_constraints():
         assert counts[Constraint.BOTH] == 0
 
 
+def _per_word_counts(words, patterns, n):
+    """The four constraint counts by the per-word route: one Word and one
+    containment search per word."""
+    counts = dict.fromkeys(Constraint, 0)
+    for word in words:
+        if avoids_all(word, patterns):
+            first = bool(word.entries) and word.entries[0] == 1
+            last = bool(word.entries) and word.entries[-1] == n
+            counts[Constraint.NONE] += 1
+            counts[Constraint.FIRST_IS_1] += first
+            counts[Constraint.LAST_IS_N] += last
+            counts[Constraint.BOTH] += first and last
+    return counts
+
+
+#: every pattern of the subsequence-definition test in test_patterns, plus
+#: patterns with a single letter, a letter used three times, and length 4
+CROSS_CHECKED = (
+    "231 132 213 312 123 321 122 212 1212 2121 1221 2112 1 11 111 121 3412".split()
+)
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_bitset_counts_match_per_word_route(discipline):
+    for n in range(6):
+        words = list(labeled_words(n, discipline))
+        for text in CROSS_CHECKED:
+            pattern = Pattern.parse(text)
+            expected = _per_word_counts(words, (pattern,), n)
+            assert count_by_constraint(n, discipline, (pattern,)) == expected, (n, text)
+
+
 @pytest.mark.parametrize("discipline", list(Discipline))
 def test_several_pattern_sets_from_one_pass(discipline):
-    # sets share patterns, so a test result reused across sets must not leak
-    p = {text: Pattern.parse(text) for text in ("231", "122", "321", "1221")}
+    # sets share patterns, so a bitset reused across sets must not leak
+    p = {text: Pattern.parse(text) for text in ("231", "122", "321", "1221", "121")}
     families = {
         "all": (),
         "231": (p["231"],),
         "122": (p["122"],),
         "122,231": (p["122"], p["231"]),
         "321,231,1221": (p["321"], p["231"], p["1221"]),
+        "121,122": (p["121"], p["122"]),
     }
-    for n in range(5):
+    for n in range(6):
+        words = list(labeled_words(n, discipline))
         counted = count_by_constraint(n, discipline, families)
         assert list(counted) == list(families)
         for key, patterns in families.items():
             assert counted[key] == count_by_constraint(n, discipline, iter(patterns))
-            avoiders = sum(avoids_all(w, patterns) for w in labeled_words(n, discipline))
-            assert counted[key][Constraint.NONE] == avoiders, (n, key)
+            assert counted[key] == _per_word_counts(words, patterns, n), (n, key)
 
 
 def test_count_avoiders_baseline_is_factorial_times_catalan():
@@ -119,8 +152,12 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         count_avoiders(CountQuery(5, Discipline.NON_NESTING, P231), cap=4)
     assert count_avoiders(CountQuery(5, Discipline.NON_NESTING, P231), cap=5) == 367
+    with pytest.raises(ValidationError):
+        count_avoiders(CountQuery(0, Discipline.NON_NESTING, P231), cap=-1)
 
 
 def test_count_query_validation():
     with pytest.raises(ValidationError):
         CountQuery(-1, Discipline.NON_NESTING)
+    with pytest.raises(ValidationError):
+        count_by_constraint(-1, Discipline.NON_NESTING)

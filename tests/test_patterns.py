@@ -3,7 +3,15 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncnperms.core import Discipline, ValidationError, Word, word_to_matching
+from ncnperms.core import (
+    Discipline,
+    DyckWord,
+    Step,
+    ValidationError,
+    Word,
+    pair_steps,
+    word_to_matching,
+)
 from ncnperms.enumeration import CountQuery, count_avoiders
 from ncnperms.patterns import (
     Pattern,
@@ -12,6 +20,7 @@ from ncnperms.patterns import (
     is_non_crossing,
     is_non_nesting,
     is_stirling,
+    occurrence_arcs,
 )
 
 from conftest import all_words
@@ -140,3 +149,23 @@ def test_contains_agrees_with_subsequence_definition():
         for entries in words:
             expected = _occurs_by_definition(entries, pattern.letters)
             assert contains(Word(entries), pattern) == expected, (text, entries)
+
+
+def test_occurrence_arcs_by_hand_at_n3():
+    # the Dyck word (()()) pairs as 1..6 / 2..3 / 4..5 under NON_CROSSING,
+    # giving the words x y y z z x, and as 1..3 / 2..5 / 4..6 under
+    # NON_NESTING, giving x y x z y z, for arc labels x, y, z in opener order
+    up, down = Step.OPEN, Step.CLOSE
+    dyck = DyckWord((up, up, down, up, down, down))
+    nc = pair_steps(dyck, Discipline.NON_CROSSING)
+    nn = pair_steps(dyck, Discipline.NON_NESTING)
+    assert nc == [(1, 6), (2, 3), (4, 5)]
+    assert nn == [(1, 3), (2, 5), (4, 6)]
+    # 231 reads its letters 2, 3, 1 left to right.  On x y y z z x it fits
+    # as y z x (positions 2, 4, 6: letters 1, 2, 3 on arcs x, y, z) and as
+    # x y z (positions 1, 2, 4: letters 1, 2, 3 on arcs z, x, y); every other
+    # order of the three arcs runs out of positions
+    assert list(occurrence_arcs(Pattern.parse("231"), nc)) == [(0, 1, 2), (2, 0, 1)]
+    # 1212 needs two crossing arcs, the earlier-opened one taking letter 1:
+    # 1..3 crosses 2..5 and 2..5 crosses 4..6
+    assert list(occurrence_arcs(Pattern.parse("1212"), nn)) == [(0, 1), (1, 2)]
