@@ -12,6 +12,7 @@ cap exceeded, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -144,9 +145,14 @@ def cmd_seq(args: argparse.Namespace) -> OutputRecord:
     table = family_table(args.family, args.limit)
     _check_printable(table.values)
     provenance = _table_provenance(args.family)
-    results = tuple(
-        Result(str(v), provenance, label=str(n)) for n, v in table.items()
-    )
+    # A non-plain format prints the emitter's text without --json, so the
+    # per-value results are built only where they are printed: each value is
+    # converted to a decimal string once.
+    results = ()
+    if args.format == "plain" or args.json:
+        results = tuple(
+            Result(str(v), provenance, label=str(n)) for n, v in table.items()
+        )
     return OutputRecord(
         "seq",
         {"family": args.family, "limit": args.limit, "format": args.format},
@@ -247,7 +253,9 @@ def cmd_export(args: argparse.Namespace) -> OutputRecord:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ncnperms",
         description=(

@@ -13,12 +13,32 @@ and Fraction: it stays in plain integers when y0 is an integer and
 dF/dy(0, y0) = +-1 (F has integer coefficients), and a Fraction appears only
 where a division really produces one.  Results are Fractions at the API
 boundary (``TruncatedSeries``); the residual F(x, y(x)) = 0 is checked exactly.
+
+Newton with precision doubling (Brent & Kung, J. ACM 1978) turns y, exact to
+x**p, into y - F(y)/F_y(y), exact to x**(2p+1).  Each step does only the work
+that step needs, and forms every coefficient of a product as one C-level
+``sum(map(operator.mul, ...))`` over the indices where both factors have
+entries:
+
+- the powers of y are built from a y of p+1 entries, not padded to the
+  target order; an even power squares the half power, forming each cross
+  term a_i*a_j (i < j) once and doubling it, and an odd power multiplies the
+  power below by y;
+- F(y) must vanish to x**p.  The step checks that, and never assumes it.
+  The update F(y)/F_y(y) then starts at x**(p+1), so F_y(y) and its
+  reciprocal are needed only to half the target order, and the update
+  product runs over the non-zero part of F(y) alone.
+
+Kronecker substitution (packing a series into one big integer) was measured
+and not taken: CPython multiplies big integers by Karatsuba at best, and the
+coefficients' widely varying sizes make the padding costly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 from .core import Discipline, ValidationError
@@ -27,7 +47,8 @@ RationalLike = Fraction | int
 
 
 class SolverError(ValueError):
-    """The implicit equation fails a solvability precondition."""
+    """The implicit equation fails a solvability precondition, or a Newton
+    step is handed a partial solution that does not solve it."""
 
 
 def _narrow(value: Fraction) -> RationalLike:
@@ -35,10 +56,37 @@ def _narrow(value: Fraction) -> RationalLike:
 
 
 def _truncated_product(
-    a: Sequence[RationalLike], b: Sequence[RationalLike], order: int
+    a: Sequence[RationalLike], b: Sequence[RationalLike], order: int, lo: int = 0
 ) -> list[RationalLike]:
-    """Cauchy product to x**order: the solver's own, apart from recurrences._conv."""
-    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(order + 1)]
+    """Coefficients 0..order of (a_lo x^lo + a_(lo+1) x^(lo+1) + ...) * b.
+
+    a's entries below ``lo`` are skipped, so the result is zero below x**lo;
+    the caller passes ``lo`` where it knows those entries vanish.  The
+    solver's own product, kept apart from recurrences._conv.
+    """
+    last_a, last_b = len(a) - 1, len(b) - 1
+    rev_b = b[::-1]  # b[m - i] is rev_b[last_b - m + i]
+    out: list[RationalLike] = [0] * (order + 1)
+    for m in range(lo, min(order, last_a + last_b) + 1):
+        i0, i1 = max(lo, m - last_b), min(m, last_a)
+        start = last_b - m
+        out[m] = sum(map(mul, a[i0 : i1 + 1], rev_b[start + i0 : start + i1 + 1]))
+    return out
+
+
+def _truncated_square(a: Sequence[RationalLike], order: int) -> list[RationalLike]:
+    """Coefficients 0..order of a*a, each cross term a_i*a_j (i < j) formed once."""
+    last = len(a) - 1
+    rev_a = a[::-1]  # a[m - i] is rev_a[last - m + i]
+    out: list[RationalLike] = [0] * (order + 1)
+    for m in range(min(order, 2 * last) + 1):
+        i0, i1 = max(0, m - last), (m - 1) // 2
+        start = last - m
+        total = 2 * sum(map(mul, a[i0 : i1 + 1], rev_a[start + i0 : start + i1 + 1]))
+        if m % 2 == 0:
+            total += a[m // 2] * a[m // 2]
+        out[m] = total
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,11 +126,15 @@ class TruncatedSeries:
 def _power_table(
     y: list[RationalLike], order: int, degree: int
 ) -> list[list[RationalLike]]:
-    """y^0 .. y^degree, each truncated to coefficients 0..order."""
-    y = (y + [0] * (order + 1))[: order + 1]
-    powers = [[1] + [0] * order, y][: degree + 1]
-    while len(powers) <= degree:
-        powers.append(_truncated_product(powers[-1], y, order))
+    """y^0 .. y^degree, truncated to x**order; a list may stop short of
+    order + 1 entries where the power's support does (y^0 is [1])."""
+    y = y[: order + 1]
+    powers = [[1], y][: degree + 1]
+    for k in range(2, degree + 1):
+        if k % 2 == 0:
+            powers.append(_truncated_square(powers[k // 2], order))
+        else:
+            powers.append(_truncated_product(powers[k - 1], y, order))
     return powers
 
 
@@ -126,8 +178,9 @@ class BivariatePolynomial:
     ) -> list[RationalLike]:
         """Coefficients 0..order of F(x, y(x)) for y given as a coefficient list.
 
-        ``powers``, from ``_power_table(y, order, d)`` with d >= the y-degree,
-        saves rebuilding the powers of y when several polynomials share them.
+        ``powers``, from ``_power_table(y, n, d)`` with n >= order and d >= the
+        y-degree, saves rebuilding the powers of y when several polynomials
+        share them.
         """
         if powers is None:
             powers = _power_table(y, order, self.y_degree)
@@ -135,9 +188,8 @@ class BivariatePolynomial:
         for (i, j), c in self.coefficients.items():
             if i > order:
                 continue
-            pj = powers[j]
-            for m in range(i, order + 1):
-                out[m] += c * pj[m - i]
+            for m, v in enumerate(powers[j][: order + 1 - i], start=i):
+                out[m] += c * v
         return out
 
 
@@ -164,27 +216,29 @@ def _reciprocal(f: list[RationalLike], order: int) -> list[RationalLike]:
     inv0 = _narrow(1 / Fraction(f[0]))
     inv = [inv0]
     for m in range(1, order + 1):
-        acc = sum(f[i] * inv[m - i] for i in range(1, m + 1))
-        inv.append(-inv0 * acc)
+        inv.append(-inv0 * sum(map(mul, f[1 : m + 1], reversed(inv))))
     return inv
 
 
-def _solve_newton(
-    equation: BivariatePolynomial, y0: RationalLike, order: int
+def _newton_step(
+    equation: BivariatePolynomial, y: list[RationalLike], order: int
 ) -> list[RationalLike]:
-    # y <- y - F(y)/F'(y) doubles the number of correct coefficients per step.
-    derivative = equation.derivative_y()
-    coeffs = [y0]
-    correct = 0
-    while correct < order:
-        correct = min(2 * correct + 1, order)
-        powers = _power_table(coeffs, correct, equation.y_degree)
-        value = equation.compose(coeffs, correct, powers)
-        slope = derivative.compose(coeffs, correct, powers)
-        update = _truncated_product(value, _reciprocal(slope, correct), correct)
-        coeffs = (coeffs + [0] * (correct + 1 - len(coeffs)))[: correct + 1]
-        coeffs = [coeffs[m] - update[m] for m in range(correct + 1)]
-    return coeffs
+    """y, exact to x**prev (prev = len(y) - 1), extended to x**min(2*prev + 1, order).
+
+    Raises SolverError if F(x, y(x)) does not vanish to x**prev.
+    """
+    prev = len(y) - 1
+    correct = min(2 * prev + 1, order)
+    powers = _power_table(y, correct, equation.y_degree)
+    value = equation.compose(y, correct, powers)
+    if any(value[: prev + 1]):
+        raise SolverError(
+            f"F(x, y(x)) does not vanish to x^{prev}: the partial solution is wrong"
+        )
+    half = correct - prev - 1
+    slope = equation.derivative_y().compose(y, half, powers)
+    update = _truncated_product(value, _reciprocal(slope, half), correct, lo=prev + 1)
+    return y + [-u for u in update[prev + 1 :]]
 
 
 def solve_algebraic(
@@ -201,7 +255,10 @@ def solve_algebraic(
         raise ValidationError("order must be non-negative")
     y0 = _narrow(Fraction(y0))
     _check_simple_root(equation, y0)
-    return TruncatedSeries(tuple(_solve_newton(equation, y0, order)))
+    coeffs = [y0]
+    while len(coeffs) <= order:
+        coeffs = _newton_step(equation, coeffs, order)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def builtin_equation(which: Discipline) -> BivariatePolynomial:

@@ -9,6 +9,7 @@ from ncnperms.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
 )
 from ncnperms.formats import parse_bfile, parse_csv, parse_json
@@ -106,6 +107,38 @@ def test_seq_alternate_formats(capsys):
     assert out == "n,value\n0,1\n1,1\n2,4\n3,19\n"
     code, out, _ = run(capsys, "seq", "q231", "-N", "1", "--format", "json")
     assert json.loads(out) == {"name": "q231", "offset": 0, "values": ["0", "1"]}
+    code, out, _ = run(capsys, "seq", "p231", "-N", "3", "--format", "csv", "--json")
+    record = json.loads(out)
+    assert code == EXIT_OK and record["parameters"]["format"] == "csv"
+    assert [(r["label"], r["value"]) for r in record["results"]] == [
+        ("0", "1"), ("1", "1"), ("2", "4"), ("3", "17"),
+    ]
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    def outcome(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects a command line this way
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    commands = [
+        ("count", "--non-nesting", "--avoid", "231", "-n", "3"),
+        ("count", "-n", "2"),
+        ("count", "--non-crossing", "--avoid", "12", "--first-is-1", "-n", "3", "--json"),
+        ("seq", "p231", "-N", "4", "--format", "csv"),
+        ("seq", "p231", "-N", "4"),
+    ]
+    assert build_parser() is build_parser()
+    in_a_row = [outcome(argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert in_a_row == fresh
+    assert in_a_row[1][0] == EXIT_USAGE and in_a_row[1][2].startswith("usage:")
 
 
 def test_series_examples(capsys):

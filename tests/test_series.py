@@ -9,6 +9,10 @@ from ncnperms.series import (
     BivariatePolynomial,
     SolverError,
     TruncatedSeries,
+    _newton_step,
+    _power_table,
+    _truncated_product,
+    _truncated_square,
     builtin_equation,
     residual,
     solve_algebraic,
@@ -96,10 +100,10 @@ def test_solver_rational_root_and_non_unit_slope():
     # 2y - 1 - x*y^2 = 0 has y(0) = 1/2 and dF/dy(0, 1/2) = 2; its root
     # (1 - sqrt(1 - x))/x has the coefficients catalan(n) / 2^(2n + 1)
     halves = BivariatePolynomial({(0, 1): 2, (0, 0): -1, (1, 2): -1})
-    solved = solve_algebraic(halves, Fraction(1, 2), 30)
-    assert solved.coefficients == tuple(
-        Fraction(catalan(n), 2 ** (2 * n + 1)) for n in range(31)
-    )
+    expected = tuple(Fraction(catalan(n), 2 ** (2 * n + 1)) for n in range(40))
+    for order in range(40):
+        solved = solve_algebraic(halves, Fraction(1, 2), order)
+        assert solved.coefficients == expected[: order + 1]
     assert all(type(c) is Fraction for c in solved.coefficients)
     assert residual(halves, solved).is_zero()
     # an integral root behind the slope 2 still comes out exact
@@ -116,16 +120,73 @@ def test_solver_output_starts_at_y0_with_zero_residual():
 
 
 def test_solver_agrees_with_recurrences_across_orders():
-    # Newton fixes 1, 3, 7, ..., 63 coefficients: order 0 takes no step, 63
-    # ends on a full doubling step, and 64, 65 and 80 cut the last one short
-    nn = nonnesting_231_system(80).unconstrained
-    nc = noncrossing_231_system(80).unconstrained
-    for order in (0, 1, 63, 64, 65, 80):
+    # Newton fixes 1, 3, 7, ..., 127 coefficients: order 0 takes no step, and
+    # every order from 0 to 130 covers each way the last step can be cut short
+    nn = nonnesting_231_system(130).unconstrained
+    nc = noncrossing_231_system(130).unconstrained
+    for order in range(131):
         for disc, table in ((Discipline.NON_NESTING, nn), (Discipline.NON_CROSSING, nc)):
             solved = solve_algebraic(builtin_equation(disc), 1, order)
             assert solved.order == order
-            for n in range(order + 1):
-                assert solved[n] == table[n]
+            assert solved.coefficients == tuple(map(Fraction, table.values[: order + 1]))
+
+
+def test_newton_step_rejects_a_partial_solution_that_does_not_vanish():
+    for disc in Discipline:
+        equation = builtin_equation(disc)
+        exact = [c.numerator for c in solve_algebraic(equation, 1, 15).coefficients]
+        assert _newton_step(equation, exact[:8], 15) == exact
+        for k in range(8):
+            corrupted = exact[:8]
+            corrupted[k] += 1
+            with pytest.raises(SolverError, match="does not vanish"):
+                _newton_step(equation, corrupted, 15)
+
+
+def _product_by_definition(a, b, order, lo=0):
+    """sum over i >= lo of a_i * b_(m-i), for m = 0..order."""
+    return [
+        sum(a[i] * b[m - i] for i in range(lo, m + 1) if i < len(a) and m - i < len(b))
+        for m in range(order + 1)
+    ]
+
+
+def _padded(coeffs, order):
+    return (list(coeffs) + [0] * (order + 1))[: order + 1]
+
+
+@pytest.mark.parametrize("exact", [int, Fraction])
+def test_products_match_the_definition(exact):
+    rng = random.Random(20261018)
+
+    def draw(length):
+        numbers = [rng.randint(-(10**40), 10**40) for _ in range(length)]
+        return numbers if exact is int else [Fraction(n, rng.randint(1, 97)) for n in numbers]
+
+    for _ in range(300):
+        a, b = draw(rng.randint(1, 9)), draw(rng.randint(1, 9))
+        order = rng.randint(0, 20)
+        lo = rng.randint(0, order + 3)  # sometimes past order
+        assert _truncated_product(a, b, order) == _product_by_definition(a, b, order)
+        assert _truncated_product(a, b, order, lo) == _product_by_definition(a, b, order, lo)
+        assert _truncated_square(a, order) == _product_by_definition(a, a, order)
+    assert _truncated_product([2, 3], [5], 0) == [10]
+    assert _truncated_square([7, 1], 0) == [49]
+    assert _truncated_product([2, 3], [5, 1], 2, lo=3) == [0, 0, 0]
+
+
+def test_power_table_matches_repeated_products():
+    rng = random.Random(6)
+    for degree in range(7):
+        for length, order in ((1, 0), (1, 4), (3, 5), (6, 11), (9, 4)):
+            y = [rng.randint(-50, 50) for _ in range(length)]
+            table = _power_table(y, order, degree)
+            assert len(table) == degree + 1
+            plain = [1]
+            for power in table:
+                assert len(power) <= order + 1
+                assert _padded(power, order) == _padded(plain, order)
+                plain = _product_by_definition(plain, y, order)
 
 
 def test_truncation_consistency():
