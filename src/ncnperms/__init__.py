@@ -7,27 +7,13 @@ an implicit-equation series solver -- plus
 growth-rate analysis, all cross-validated against each other.
 """
 
-from .core import (
-    Arc,
-    Discipline,
-    DyckWord,
-    Matching,
-    ResourceLimitError,
-    Step,
-    ValidationError,
-    Word,
-    dyck_to_matching,
-    matching_to_word,
-    word_to_matching,
-)
+from .core import Discipline, ResourceLimitError, ValidationError, Word
 from .enumeration import (
     Constraint,
-    CountQuery,
     EnumerationCapError,
-    count_avoiders,
     count_by_constraint,
-    dyck_words,
     labeled_words,
+    shapes,
 )
 from .growth import (
     DecimalApprox,
@@ -71,17 +57,13 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "BivariatePolynomial",
     "Constraint",
-    "CountQuery",
     "DecimalApprox",
     "Discipline",
-    "DyckWord",
     "EnumerationCapError",
     "FAMILIES",
     "IntPolynomial",
-    "Matching",
     "NonCrossing231System",
     "NonNesting231System",
     "Pattern",
@@ -89,7 +71,6 @@ __all__ = [
     "RootNotFoundError",
     "SequenceTable",
     "SolverError",
-    "Step",
     "TruncatedSeries",
     "ValidationError",
     "Word",
@@ -99,10 +80,7 @@ __all__ = [
     "catalan",
     "closed_form_122",
     "contains",
-    "count_avoiders",
     "count_by_constraint",
-    "dyck_to_matching",
-    "dyck_words",
     "family_table",
     "fibonacci",
     "growth_rate",
@@ -110,13 +88,12 @@ __all__ = [
     "is_non_nesting",
     "is_stirling",
     "labeled_words",
-    "matching_to_word",
     "minimal_positive_root",
     "nonnesting_231_system",
     "noncrossing_231_system",
     "qbar_via_compositions",
     "ratio",
     "residual",
+    "shapes",
     "solve_algebraic",
-    "word_to_matching",
 ]

@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -24,13 +25,8 @@ from typing import Iterable, Sequence
 
 from . import formats
 from .core import Discipline, ResourceLimitError, ValidationError
-from .enumeration import (
-    ENUMERATION_CAP,
-    Constraint,
-    CountQuery,
-    count_avoiders,
-)
-from .growth import growth_rate, ratio
+from .enumeration import ENUMERATION_CAP, Constraint, count_by_constraint
+from .growth import MAX_GROWTH_PLACES, growth_rate, ratio
 from .patterns import Pattern
 from .recurrences import FAMILIES, SequenceTable, family_table
 from .series import builtin_equation, solve_algebraic
@@ -103,8 +99,7 @@ def cmd_count(args: argparse.Namespace) -> OutputRecord:
         constraint = Constraint.NONE
     discipline = _discipline(args)
     cap = args.n if args.force else args.cap
-    query = CountQuery(args.n, discipline, patterns, constraint)
-    value = count_avoiders(query, cap=cap)
+    value = count_by_constraint(args.n, discipline, patterns, cap)[constraint]
     return OutputRecord(
         "count",
         {
@@ -175,8 +170,29 @@ def cmd_series(args: argparse.Namespace) -> OutputRecord:
     )
 
 
+def _check_tolerance_exponent(text: str) -> None:
+    """Refuse a decimal exponent too large to be worth building a Fraction
+    for, which takes time growing with the exponent.
+
+    A mantissa of d <= len(text) digits times 10**e lies between 10**(e - d)
+    and 10**(e + d), so once |e| exceeds MAX_GROWTH_PLACES + len(text) the
+    value is certainly outside [10**-MAX_GROWTH_PLACES, 1].
+    """
+    exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)\s*\Z", text)
+    if exponent is None:
+        return
+    magnitude = exponent[1].replace("_", "").lstrip("0") or "0"
+    bound = MAX_GROWTH_PLACES + len(text)
+    if len(magnitude) > len(str(bound)) or int(magnitude) > bound:
+        raise ValidationError(
+            f"tolerance exponent exceeds {bound} in magnitude, which puts the "
+            f"tolerance outside [10^-{MAX_GROWTH_PLACES}, 1]"
+        )
+
+
 def cmd_growth(args: argparse.Namespace) -> OutputRecord:
     which = Discipline(args.which)
+    _check_tolerance_exponent(args.tolerance)
     try:
         tolerance = Fraction(args.tolerance)
     except (ValueError, ZeroDivisionError) as exc:

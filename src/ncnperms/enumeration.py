@@ -1,40 +1,30 @@
-"""Exhaustive generation of Dyck words, matchings, and labeled words, and
-the brute-force counts built on them.
+"""Exhaustive generation of shapes and labeled words, and the brute-force
+counts built on them.
 
 This module is the brute-force counting route.  It exists to cross-validate
 the recurrence and series routes, so it takes no shortcut through the
-structure of avoiders: shapes come from Dyck words, and every one of a
-shape's n! labelings is decided.  :func:`count_by_constraint` decides them
-all at once, as bitsets over the labelings of one shape (bit i for the i-th
-labeling in ``permutations`` order), and builds no word.
-:func:`labeled_words` produces every word one at a time; with
-``patterns.contains`` it is the deliberately independent per-word route that
-the structure checks in ``verify`` and the tests use.
+structure of avoiders: :func:`shapes` yields every matching the discipline
+allows, and every one of a shape's n! labelings is decided.
+:func:`count_by_constraint` decides them all at once, as bitsets over the
+labelings of one shape (bit i for the i-th labeling in ``permutations``
+order), and builds no word.  :func:`labeled_words` produces every word one
+at a time; with ``patterns.contains`` it is the deliberately independent
+per-word route that the structure checks in ``verify`` and the tests use.
 
-Word streams are deterministic: the same call always yields the same
-sequence in the same order.
+Shape and word streams are deterministic: the same call always yields the
+same sequence in the same order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache, reduce
 from itertools import permutations
 from operator import or_
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from .core import (
-    Discipline,
-    DyckWord,
-    ResourceLimitError,
-    Step,
-    ValidationError,
-    Word,
-    pair_steps,
-    shape_words,
-)
+from .core import Discipline, ResourceLimitError, ValidationError, Word
 from .patterns import Pattern, occurrence_arcs
 
 ENUMERATION_CAP = 7
@@ -56,55 +46,60 @@ class Constraint(Enum):
     BOTH = "first-is-1-and-last-is-n"
 
 
-@dataclass(frozen=True)
-class CountQuery:
-    semilength: int
-    discipline: Discipline
-    forbidden: frozenset[Pattern] = frozenset()
-    constraint: Constraint = Constraint.NONE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        if self.semilength < 0:
-            raise ValidationError("semilength must be non-negative")
+Shape = tuple[tuple[int, int], ...]
 
 
-def dyck_words(n: int) -> Iterator[DyckWord]:
-    """All Dyck words of semilength n, in lexicographic order (OPEN < CLOSE).
+def shapes(n: int, discipline: Discipline) -> Iterator[Shape]:
+    """Every matching of [2n] the discipline allows, each as its (opener,
+    closer) position pairs sorted by opener.
 
-    >>> sum(1 for _ in dyck_words(3))
-    5
+    The walk reads one Dyck word per shape, in lexicographic order (OPEN <
+    CLOSE), and pairs each CLOSE step as it goes: with the latest unmatched
+    opener under NON_CROSSING (stack order) or the earliest under
+    NON_NESTING (queue order).
+
+    >>> list(shapes(2, Discipline.NON_CROSSING))
+    [((1, 4), (2, 3)), ((1, 2), (3, 4))]
+    >>> list(shapes(2, Discipline.NON_NESTING))
+    [((1, 3), (2, 4)), ((1, 2), (3, 4))]
     """
     if n < 0:
         raise ValidationError("semilength must be non-negative")
-    steps: list[Step] = []
+    latest = discipline is Discipline.NON_CROSSING
+    pairs: list[tuple[int, int]] = []
 
-    def emit(opens: int, closes: int) -> Iterator[DyckWord]:
-        if opens == n and closes == n:
-            yield DyckWord(tuple(steps))
+    def walk(pos: int, opens: int, pending: tuple[int, ...]) -> Iterator[Shape]:
+        if pos > 2 * n:
+            yield tuple(sorted(pairs))
             return
         if opens < n:
-            steps.append(Step.OPEN)
-            yield from emit(opens + 1, closes)
-            steps.pop()
-        if closes < opens:
-            steps.append(Step.CLOSE)
-            yield from emit(opens, closes + 1)
-            steps.pop()
+            yield from walk(pos + 1, opens + 1, pending + (pos,))
+        if pending:
+            if latest:
+                opener, rest = pending[-1], pending[:-1]
+            else:
+                opener, rest = pending[0], pending[1:]
+            pairs.append((opener, pos))
+            yield from walk(pos + 1, opens, rest)
+            pairs.pop()
 
-    yield from emit(0, 0)
+    return walk(1, 0, ())
 
 
 def labeled_words(n: int, discipline: Discipline) -> Iterator[Word]:
     """Every non-crossing (or non-nesting) word of semilength n, exactly once.
 
-    Each Dyck word fixes an unlabeled matching through the discipline's
-    pairing rule; running through all n! labelings of its arcs then yields
-    the n! * C(n) words of the family.
+    Each of the C(n) shapes is labeled in all n! ways, the k-th label going
+    to both ends of the k-th arc, which yields the n! * C(n) words of the
+    family.
     """
     labelings = list(permutations(range(1, n + 1)))
-    for dyck in dyck_words(n):
-        yield from shape_words(pair_steps(dyck, discipline), labelings)
+    for pairs in shapes(n, discipline):
+        entries = [0] * (2 * n)
+        for labels in labelings:
+            for (a, b), lab in zip(pairs, labels):
+                entries[a - 1] = entries[b - 1] = lab
+            yield Word(tuple(entries))
 
 
 @cache
@@ -144,6 +139,11 @@ def count_by_constraint(
     for every set.  Per shape, each pattern's "contains" bitset is the OR,
     over its :func:`occurrence_arcs`, of the labelings rising along the arcs;
     a set's avoiders are the labelings outside all its patterns' bitsets.
+
+    Raises EnumerationCapError beyond ``cap`` (default 7).  Each of the C(n)
+    shapes ANDs and ORs n!-bit integers once per arc map of each pattern, so
+    the cost grows about tenfold per step in n: well under a second at
+    n = 7, a few seconds at n = 8.
     """
     if n < 0:
         raise ValidationError("semilength must be non-negative")
@@ -165,8 +165,7 @@ def count_by_constraint(
     less, has = _labeling_masks(n)
     everything = (1 << math.factorial(n)) - 1
     first = has[0][1] if n else 0  # arc 0 opens at position 1
-    for dyck in dyck_words(n):
-        pairs = pair_steps(dyck, discipline)
+    for pairs in shapes(n, discipline):
         # the arc closing at position 2n holds the last entry
         last = next((has[k][n] for k, (_, closer) in enumerate(pairs) if closer == 2 * n), 0)
         within = {
@@ -187,15 +186,3 @@ def count_by_constraint(
             for constraint, mask in within.items():
                 totals[key][constraint] += (avoiding & mask).bit_count()
     return totals if several else totals[None]
-
-
-def count_avoiders(query: CountQuery, cap: int = ENUMERATION_CAP) -> int:
-    """Exact number of words matching the query, by exhaustive enumeration.
-
-    Raises EnumerationCapError beyond the cap (default 7).  Each of the C(n)
-    shapes ANDs and ORs n!-bit integers once per arc map of each pattern, so
-    the cost grows about tenfold per step in n: well under a second at
-    n = 7, a few seconds at n = 8.
-    """
-    totals = count_by_constraint(query.semilength, query.discipline, query.forbidden, cap)
-    return totals[query.constraint]

@@ -209,11 +209,15 @@ def growth_rate(
     which: Discipline, tolerance: RationalLike = Fraction(1, 10**5)
 ) -> DecimalApprox:
     """Reciprocal of the smallest positive radicand root, bracketed to within
-    ``tolerance``.
+    ``tolerance``, which must lie in [10**-MAX_GROWTH_PLACES, 1].
     """
     tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValidationError("tolerance must be positive")
+    # A tolerance of at most 1 keeps the fine bracket off 0: it holds the
+    # root and is narrower than coarse.low**2, which is below the root.
+    if tolerance > 1:
+        raise ValidationError("tolerance must be at most 1")
     if tolerance < Fraction(1, 10**MAX_GROWTH_PLACES):
         raise ValidationError(
             f"tolerance is finer than 10^-{MAX_GROWTH_PLACES}; growth rates are "

@@ -36,24 +36,12 @@ from typing import Iterator, Sequence
 from .core import ResourceLimitError, ValidationError
 from .patterns import Pattern
 
-#: CLI/table names of every sequence family this module can build.
-FAMILIES = (
-    "p231",
-    "q231",
-    "r231",
-    "rprime231",
-    "pbar231",
-    "qbar231",
-    "q122",
-    "q122,132",
-    "q122,213",
-    "q122,231",
-    "q122,123",
-    "q122,312",
-    "q122,321",
-)
-
 PAIRABLE_WITH_122 = ("132", "213", "231", "123", "312", "321")
+
+#: CLI/table names of every sequence family this module can build.
+FAMILIES = ("p231", "q231", "r231", "rprime231", "pbar231", "qbar231", "q122") + tuple(
+    f"q122,{key}" for key in PAIRABLE_WITH_122
+)
 
 COMPOSITION_CAP = 20
 

@@ -299,10 +299,3 @@ def run_verification(
         record("unique 122-avoiding labeling per matching, n<=5", failure)
 
     return results
-
-
-def first_failure(results: list[CheckResult]) -> CheckResult | None:
-    for result in results:
-        if not result.passed:
-            return result
-    return None

@@ -22,3 +22,22 @@ def all_words(n: int) -> Iterator[tuple[int, ...]]:
                 remaining[lab] += 1
 
     return emit()
+
+
+def arc_pairs(entries: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The (opener, closer) positions of each label of a word, sorted by
+    opener: the word's shape, read back from its entries."""
+    where: dict[int, list[int]] = {}
+    for pos, lab in enumerate(entries, start=1):
+        where.setdefault(lab, []).append(pos)
+    return tuple(sorted((first, second) for first, second in where.values()))
+
+
+def arcs_cross(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    (a, b), (c, d) = p, q
+    return a < c < b < d or c < a < d < b
+
+
+def arcs_nest(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    (a, b), (c, d) = p, q
+    return a < c < d < b or c < a < b < d

@@ -1,5 +1,7 @@
 import json
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +163,42 @@ def test_growth_rejects_tolerance_beyond_rendered_places(capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _assert_usage_error(code, out, err):
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which,tolerance", [("non-nesting", "10"), ("non-crossing", "61")])
+def test_growth_rejects_tolerance_above_one(capsys, which, tolerance):
+    _assert_usage_error(*run(capsys, "growth", which, "--tolerance", tolerance))
+
+
+@pytest.mark.parametrize("tolerance", ["1e-10000000", "1E+1_0000000"])
+def test_growth_rejects_huge_exponent_before_building_it(capsys, tolerance):
+    start = time.perf_counter()
+    result = run(capsys, "growth", "non-nesting", "--tolerance", tolerance)
+    assert time.perf_counter() - start < 0.5
+    _assert_usage_error(*result)
+
+
+def test_growth_exponent_within_bound_reaches_the_range_check(capsys):
+    # 100e-62 is 10^-60, the finest tolerance; 1e-61 is one step finer
+    code, out, _ = run(capsys, "growth", "non-nesting", "--tolerance", "100e-62")
+    assert code == EXIT_OK and len(out.strip().split(".")[1]) == 60
+    code, out, err = run(capsys, "growth", "non-nesting", "--tolerance", "1e-61")
+    _assert_usage_error(code, out, err)
+    assert "finer than 10^-60" in err
+
+
+@pytest.mark.parametrize("tolerance", ["1", "1/2", "1/10"])
+def test_growth_coarse_tolerances_print_a_rate(capsys, tolerance):
+    for which, target in (("non-nesting", "6.1801"), ("non-crossing", "7.8177")):
+        code, out, _ = run(capsys, "growth", which, "--tolerance", tolerance)
+        assert code == EXIT_OK
+        assert abs(Fraction(out.strip()) - Fraction(target)) <= Fraction(tolerance), out
 
 
 def test_ratio_examples(capsys):

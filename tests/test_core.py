@@ -1,23 +1,15 @@
 import math
+from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
 
-from ncnperms.core import (
-    Arc,
-    Discipline,
-    DyckWord,
-    Matching,
-    Step,
-    ValidationError,
-    Word,
-    dyck_to_matching,
-    matching_to_word,
-    word_to_matching,
-)
-from ncnperms.enumeration import dyck_words, labeled_words
+import ncnperms
+from ncnperms.core import Discipline, ValidationError, Word
+from ncnperms.enumeration import labeled_words, shapes
 from ncnperms.patterns import is_non_crossing, is_non_nesting
 from ncnperms.recurrences import catalan
+
+from conftest import all_words, arc_pairs
 
 
 def test_word_validation():
@@ -74,105 +66,38 @@ def test_word_str_emits_comma_form():
     assert Word.parse(str(Word.parse("121632653454"))) == Word.parse("121632653454")
 
 
-def test_word_to_matching_simple():
-    m = word_to_matching(Word.parse("1221"))
-    assert m.arcs == (Arc(1, 4, 1), Arc(2, 3, 2))
+def test_word_matching_round_trip():
+    # labeled_words writes the k-th label at both ends of the k-th arc,
+    # shape by shape and labeling by labeling in permutations order; reading
+    # each word back gives that shape and labeling
+    for discipline in Discipline:
+        for n in range(6):
+            expected = [
+                (pairs, labels)
+                for pairs in shapes(n, discipline)
+                for labels in permutations(range(1, n + 1))
+            ]
+            read_back = []
+            for word in labeled_words(n, discipline):
+                pairs = arc_pairs(word.entries)
+                read_back.append((pairs, tuple(word.entries[a - 1] for a, _ in pairs)))
+            assert read_back == expected
 
 
-def test_word_to_matching_longer_example():
-    m = word_to_matching(Word.parse("121632653454"))
-    expected = {(1, 3, 1), (2, 6, 2), (4, 7, 6), (5, 9, 3), (8, 11, 5), (10, 12, 4)}
-    assert {(a.opener, a.closer, a.label) for a in m.arcs} == expected
+def test_discipline_yields_its_family():
+    # the discipline's words are exactly the words its predicate accepts
+    for n in range(5):
+        words = [Word(entries) for entries in all_words(n)]
+        for discipline, accepts in (
+            (Discipline.NON_CROSSING, is_non_crossing),
+            (Discipline.NON_NESTING, is_non_nesting),
+        ):
+            family = {word for word in words if accepts(word)}
+            assert set(labeled_words(n, discipline)) == family, (n, discipline)
+            assert len(family) == math.factorial(n) * catalan(n)
 
 
-def test_word_to_matching_empty():
-    assert word_to_matching(Word(())) == Matching(())
-
-
-def test_matching_to_word():
-    assert matching_to_word(Matching((Arc(1, 2, 1),))) == Word.parse("11")
-    assert matching_to_word(Matching((Arc(1, 4, 1), Arc(2, 3, 2)))) == Word.parse("1221")
-    assert matching_to_word(Matching((Arc(1, 3, 1), Arc(2, 4, 2)))) == Word.parse("1212")
-
-
-def test_matching_validation():
-    with pytest.raises(ValidationError):
-        Arc(3, 2, 1)
-    with pytest.raises(ValidationError):
-        Matching((Arc(1, 2, 1), Arc(2, 3, 2)))  # endpoint 2 reused
-    with pytest.raises(ValidationError):
-        Matching((Arc(1, 2, 1), Arc(3, 4, 1)))  # label reused
-
-
-def test_dyck_word_validation():
-    DyckWord(())
-    DyckWord((Step.OPEN, Step.CLOSE))
-    with pytest.raises(ValidationError):
-        DyckWord((Step.CLOSE, Step.OPEN))
-    with pytest.raises(ValidationError):
-        DyckWord((Step.OPEN,))
-
-
-def test_dyck_to_matching_disciplines():
-    nest = DyckWord((Step.OPEN, Step.OPEN, Step.CLOSE, Step.CLOSE))
-    assert matching_to_word(
-        dyck_to_matching(nest, Discipline.NON_CROSSING, (1, 2))
-    ) == Word.parse("1221")
-    assert matching_to_word(
-        dyck_to_matching(nest, Discipline.NON_NESTING, (1, 2))
-    ) == Word.parse("1212")
-    flat = DyckWord((Step.OPEN, Step.CLOSE, Step.OPEN, Step.CLOSE))
-    for disc in Discipline:
-        assert matching_to_word(dyck_to_matching(flat, disc, (1, 2))) == Word.parse("1122")
-
-
-def test_dyck_to_matching_bad_labeling():
-    d = DyckWord((Step.OPEN, Step.CLOSE))
-    with pytest.raises(ValidationError):
-        dyck_to_matching(d, Discipline.NON_CROSSING, (2,))
-    with pytest.raises(ValidationError):
-        dyck_to_matching(d, Discipline.NON_CROSSING, (1, 2))
-
-
-@st.composite
-def family_words(draw, max_n: int = 5):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    dyck = draw(st.sampled_from(list(dyck_words(n))))
-    labeling = draw(st.permutations(list(range(1, n + 1))))
-    discipline = draw(st.sampled_from(list(Discipline)))
-    return discipline, matching_to_word(dyck_to_matching(dyck, discipline, labeling))
-
-
-@given(family_words())
-def test_word_matching_round_trip(disc_word):
-    _, word = disc_word
-    assert matching_to_word(word_to_matching(word)) == word
-    matching = word_to_matching(word)
-    assert word_to_matching(matching_to_word(matching)) == matching
-
-
-@given(family_words())
-def test_discipline_yields_its_family(disc_word):
-    discipline, word = disc_word
-    if discipline is Discipline.NON_CROSSING:
-        assert is_non_crossing(word)
-    else:
-        assert is_non_nesting(word)
-
-
-@pytest.mark.parametrize("discipline", list(Discipline))
-def test_shape_labeling_map_is_bijective(discipline):
-    # (dyck word, labeling) -> word is injective and covers n! * C(n) words
-    from itertools import permutations
-
-    # labeled_words yields exactly these words, in the same order
-    for n in range(7):
-        words = [
-            matching_to_word(dyck_to_matching(dyck, discipline, labeling)).entries
-            for dyck in dyck_words(n)
-            for labeling in permutations(range(1, n + 1))
-        ]
-        expected = math.factorial(n) * catalan(n)
-        assert len(words) == expected
-        assert len(set(words)) == expected
-        assert [word.entries for word in labeled_words(n, discipline)] == words
+def test_public_names_resolve_once():
+    assert len(ncnperms.__all__) == len(set(ncnperms.__all__))
+    for name in ncnperms.__all__:
+        assert hasattr(ncnperms, name), name

@@ -1,40 +1,87 @@
 import math
+from itertools import combinations, islice, permutations
 
 import pytest
 
-from ncnperms.core import Discipline, ValidationError
+from ncnperms.core import Discipline, ValidationError, Word
 from ncnperms.enumeration import (
     Constraint,
-    CountQuery,
     EnumerationCapError,
-    count_avoiders,
     count_by_constraint,
-    dyck_words,
     labeled_words,
+    shapes,
 )
 from ncnperms.patterns import Pattern, avoids_all
 from ncnperms.recurrences import catalan
+
+from conftest import arcs_cross, arcs_nest
 
 P231 = frozenset({Pattern.parse("231")})
 
 
 @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 14), (6, 132)])
 def test_dyck_word_counts(n, count):
-    assert sum(1 for _ in dyck_words(n)) == count
+    # one shape per Dyck word, in either discipline
+    for disc in Discipline:
+        assert sum(1 for _ in shapes(n, disc)) == count
+
+
+def _dyck_word(pairs) -> str:
+    """The step sequence a shape was read from: "(" at each opener."""
+    openers = {opener for opener, _ in pairs}
+    return "".join("(" if pos in openers else ")" for pos in range(1, 2 * len(pairs) + 1))
 
 
 def test_dyck_words_lexicographic_and_deterministic():
-    first = [str(d) for d in dyck_words(4)]
-    second = [str(d) for d in dyck_words(4)]
+    first = [_dyck_word(pairs) for pairs in shapes(4, Discipline.NON_CROSSING)]
+    second = [_dyck_word(pairs) for pairs in shapes(4, Discipline.NON_CROSSING)]
     assert first == second
-    steps = [tuple(d.steps) for d in dyck_words(4)]
-    assert steps == sorted(steps)
+    # "(" sorts before ")", so string order is step order with OPEN < CLOSE
+    assert first == sorted(set(first))
     assert first[0] == "(((())))"  # all OPENs first is lexicographically least
+    assert [_dyck_word(pairs) for pairs in shapes(4, Discipline.NON_NESTING)] == first
 
 
 def test_dyck_words_rejects_negative():
-    with pytest.raises(ValidationError):
-        list(dyck_words(-1))
+    for disc in Discipline:
+        with pytest.raises(ValidationError):
+            list(shapes(-1, disc))
+        with pytest.raises(ValidationError):
+            list(labeled_words(-1, disc))
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_shapes_are_the_matchings_of_the_discipline(discipline):
+    # each kind has C(n) matchings, so C(n) distinct valid shapes are all of them
+    forbidden = arcs_cross if discipline is Discipline.NON_CROSSING else arcs_nest
+    for n in range(7):
+        found = list(shapes(n, discipline))
+        assert len(found) == len(set(found)) == catalan(n)
+        for pairs in found:
+            assert isinstance(pairs, tuple)
+            assert [opener for opener, _ in pairs] == sorted(opener for opener, _ in pairs)
+            assert all(opener < closer for opener, closer in pairs)
+            assert sorted(pos for pair in pairs for pos in pair) == list(range(1, 2 * n + 1))
+            assert not any(forbidden(p, q) for p, q in combinations(pairs, 2)), pairs
+
+
+def test_shapes_by_hand_at_n3():
+    # Dyck words ((())), (()()), (())(), ()(()), ()()() in this order; a
+    # CLOSE pairs with the latest open arc (non-crossing) or the earliest
+    assert list(shapes(3, Discipline.NON_CROSSING)) == [
+        ((1, 6), (2, 5), (3, 4)),
+        ((1, 6), (2, 3), (4, 5)),
+        ((1, 4), (2, 3), (5, 6)),
+        ((1, 2), (3, 6), (4, 5)),
+        ((1, 2), (3, 4), (5, 6)),
+    ]
+    assert list(shapes(3, Discipline.NON_NESTING)) == [
+        ((1, 4), (2, 5), (3, 6)),
+        ((1, 3), (2, 5), (4, 6)),
+        ((1, 3), (2, 4), (5, 6)),
+        ((1, 2), (3, 5), (4, 6)),
+        ((1, 2), (3, 4), (5, 6)),
+    ]
 
 
 def test_labeled_words_small():
@@ -46,9 +93,28 @@ def test_labeled_words_small():
     assert non_crossing == {"1,1,2,2", "2,2,1,1", "1,2,2,1", "2,1,1,2"}
 
 
+def test_words_from_shapes_and_labelings_by_hand():
+    # the k-th label goes to both ends of the k-th arc in opener order,
+    # shape by shape and labeling by labeling in permutations order
+    for disc in Discipline:
+        assert [w.entries for w in labeled_words(0, disc)] == [()]
+    nc = [str(w) for w in labeled_words(2, Discipline.NON_CROSSING)]
+    assert nc == ["1,2,2,1", "2,1,1,2", "1,1,2,2", "2,2,1,1"]
+    nn = [str(w) for w in labeled_words(2, Discipline.NON_NESTING)]
+    assert nn == ["1,2,1,2", "2,1,2,1", "1,1,2,2", "2,2,1,1"]
+    # 121632653454 has arcs 1..3, 2..6, 4..7, 5..9, 8..11, 10..12 labeled
+    # 1, 2, 6, 3, 5, 4 in opener order
+    pairs = ((1, 3), (2, 6), (4, 7), (5, 9), (8, 11), (10, 12))
+    labels = (1, 2, 6, 3, 5, 4)
+    at = list(shapes(6, Discipline.NON_NESTING)).index(pairs) * math.factorial(6)
+    at += list(permutations(range(1, 7))).index(labels)
+    word = next(islice(labeled_words(6, Discipline.NON_NESTING), at, None))
+    assert word == Word.parse("121632653454")
+
+
 @pytest.mark.parametrize("discipline", list(Discipline))
 def test_labeled_words_count_and_distinct(discipline):
-    for n in range(6):
+    for n in range(7):
         words = [w.entries for w in labeled_words(n, discipline)]
         assert len(words) == math.factorial(n) * catalan(n)
         assert len(set(words)) == len(words)
@@ -61,18 +127,13 @@ def test_labeled_words_deterministic():
 
 
 def test_count_avoiders_published_examples():
-    assert count_avoiders(CountQuery(2, Discipline.NON_NESTING, P231)) == 4
-    assert count_avoiders(CountQuery(3, Discipline.NON_CROSSING, P231)) == 19
-    assert (
-        count_avoiders(CountQuery(4, Discipline.NON_CROSSING, frozenset({Pattern.parse("122")})))
-        == 14
-    )
-    assert (
-        count_avoiders(CountQuery(1, Discipline.NON_NESTING, P231, Constraint.LAST_IS_N)) == 1
-    )
-    assert (
-        count_avoiders(CountQuery(2, Discipline.NON_NESTING, P231, Constraint.FIRST_IS_1)) == 2
-    )
+    none, first, last = Constraint.NONE, Constraint.FIRST_IS_1, Constraint.LAST_IS_N
+    assert count_by_constraint(2, Discipline.NON_NESTING, P231)[none] == 4
+    assert count_by_constraint(3, Discipline.NON_CROSSING, P231)[none] == 19
+    p122 = frozenset({Pattern.parse("122")})
+    assert count_by_constraint(4, Discipline.NON_CROSSING, p122)[none] == 14
+    assert count_by_constraint(1, Discipline.NON_NESTING, P231)[last] == 1
+    assert count_by_constraint(2, Discipline.NON_NESTING, P231)[first] == 2
 
 
 def test_count_avoiders_empty_word_constraints():
@@ -142,22 +203,23 @@ def test_several_pattern_sets_from_one_pass(discipline):
 def test_count_avoiders_baseline_is_factorial_times_catalan():
     for disc in Discipline:
         for n in range(5):
-            query = CountQuery(n, disc)
-            assert count_avoiders(query) == math.factorial(n) * catalan(n)
+            counts = count_by_constraint(n, disc)
+            assert counts[Constraint.NONE] == math.factorial(n) * catalan(n)
 
 
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
-        count_avoiders(CountQuery(8, Discipline.NON_NESTING, P231))
+        count_by_constraint(8, Discipline.NON_NESTING, P231)
     with pytest.raises(EnumerationCapError):
-        count_avoiders(CountQuery(5, Discipline.NON_NESTING, P231), cap=4)
-    assert count_avoiders(CountQuery(5, Discipline.NON_NESTING, P231), cap=5) == 367
+        count_by_constraint(5, Discipline.NON_NESTING, P231, cap=4)
+    assert count_by_constraint(5, Discipline.NON_NESTING, P231, cap=5)[Constraint.NONE] == 367
     with pytest.raises(ValidationError):
-        count_avoiders(CountQuery(0, Discipline.NON_NESTING, P231), cap=-1)
+        count_by_constraint(0, Discipline.NON_NESTING, P231, cap=-1)
 
 
 def test_count_query_validation():
-    with pytest.raises(ValidationError):
-        CountQuery(-1, Discipline.NON_NESTING)
-    with pytest.raises(ValidationError):
+    # a negative semilength is reported before a negative cap
+    with pytest.raises(ValidationError, match="semilength must be non-negative"):
         count_by_constraint(-1, Discipline.NON_NESTING)
+    with pytest.raises(ValidationError, match="semilength must be non-negative"):
+        count_by_constraint(-1, Discipline.NON_NESTING, cap=-1)

@@ -3,16 +3,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncnperms.core import (
-    Discipline,
-    DyckWord,
-    Step,
-    ValidationError,
-    Word,
-    pair_steps,
-    word_to_matching,
-)
-from ncnperms.enumeration import CountQuery, count_avoiders
+from ncnperms.core import Discipline, ValidationError, Word
+from ncnperms.enumeration import Constraint, count_by_constraint, shapes
 from ncnperms.patterns import (
     Pattern,
     avoids_all,
@@ -23,7 +15,7 @@ from ncnperms.patterns import (
     occurrence_arcs,
 )
 
-from conftest import all_words
+from conftest import all_words, arc_pairs, arcs_cross, arcs_nest
 
 
 def test_pattern_validation():
@@ -76,21 +68,13 @@ def test_named_families():
     assert is_non_crossing(Word(())) and is_non_nesting(Word(())) and is_stirling(Word(()))
 
 
-def _arcs_cross(a, b) -> bool:
-    return a.opener < b.opener < a.closer < b.closer or b.opener < a.opener < b.closer < a.closer
-
-
-def _arcs_nest(a, b) -> bool:
-    return a.opener < b.opener < b.closer < a.closer or b.opener < a.opener < a.closer < b.closer
-
-
 @pytest.mark.parametrize("n", range(6))
 def test_pattern_predicates_match_arc_geometry(n):
     for entries in all_words(n):
         word = Word(entries)
-        arcs = word_to_matching(word).arcs
-        crossing = any(_arcs_cross(a, b) for a, b in combinations(arcs, 2))
-        nesting = any(_arcs_nest(a, b) for a, b in combinations(arcs, 2))
+        arcs = arc_pairs(entries)
+        crossing = any(arcs_cross(p, q) for p, q in combinations(arcs, 2))
+        nesting = any(arcs_nest(p, q) for p, q in combinations(arcs, 2))
         assert is_non_crossing(word) == (not crossing), word
         assert is_non_nesting(word) == (not nesting), word
 
@@ -99,13 +83,10 @@ def test_pattern_predicates_match_arc_geometry(n):
 def test_symmetry_of_length3_avoidance_counts(discipline):
     # 231, 132, 213 and 312 are equivalent under reversal/complement, so
     # their avoidance counts agree within each discipline.
+    families = {sigma: (Pattern.parse(sigma),) for sigma in ("231", "132", "213", "312")}
     for n in range(6):
-        counts = {
-            sigma: count_avoiders(
-                CountQuery(n, discipline, frozenset({Pattern.parse(sigma)}))
-            )
-            for sigma in ("231", "132", "213", "312")
-        }
+        counted = count_by_constraint(n, discipline, families)
+        counts = {sigma: counted[sigma][Constraint.NONE] for sigma in families}
         assert len(set(counts.values())) == 1, (n, counts)
 
 
@@ -152,15 +133,14 @@ def test_contains_agrees_with_subsequence_definition():
 
 
 def test_occurrence_arcs_by_hand_at_n3():
-    # the Dyck word (()()) pairs as 1..6 / 2..3 / 4..5 under NON_CROSSING,
-    # giving the words x y y z z x, and as 1..3 / 2..5 / 4..6 under
-    # NON_NESTING, giving x y x z y z, for arc labels x, y, z in opener order
-    up, down = Step.OPEN, Step.CLOSE
-    dyck = DyckWord((up, up, down, up, down, down))
-    nc = pair_steps(dyck, Discipline.NON_CROSSING)
-    nn = pair_steps(dyck, Discipline.NON_NESTING)
-    assert nc == [(1, 6), (2, 3), (4, 5)]
-    assert nn == [(1, 3), (2, 5), (4, 6)]
+    # the second shape, read from the Dyck word (()()), pairs as 1..6 / 2..3 /
+    # 4..5 under NON_CROSSING, giving the words x y y z z x, and as 1..3 /
+    # 2..5 / 4..6 under NON_NESTING, giving x y x z y z, for arc labels x, y,
+    # z in opener order
+    nc = list(shapes(3, Discipline.NON_CROSSING))[1]
+    nn = list(shapes(3, Discipline.NON_NESTING))[1]
+    assert nc == ((1, 6), (2, 3), (4, 5))
+    assert nn == ((1, 3), (2, 5), (4, 6))
     # 231 reads its letters 2, 3, 1 left to right.  On x y y z z x it fits
     # as y z x (positions 2, 4, 6: letters 1, 2, 3 on arcs x, y, z) and as
     # x y z (positions 1, 2, 4: letters 1, 2, 3 on arcs z, x, y); every other

@@ -15,7 +15,6 @@ from ncnperms.verify import (
     Level,
     count_122_family,
     decreasing_labeling_is_unique_122_avoider,
-    first_failure,
     run_verification,
     window_extremes_ok,
     window_traffic_ok,
@@ -25,12 +24,12 @@ from ncnperms.verify import (
 def test_quick_verification_passes():
     results = run_verification(Level.QUICK)
     assert results
-    assert first_failure(results) is None
+    assert all(r.passed for r in results)
 
 
 def test_full_verification_passes():
     results = run_verification(Level.FULL)
-    assert first_failure(results) is None
+    assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert any("window structure" in name for name in names)
     assert any("122-avoiding labeling" in name for name in names)
@@ -47,8 +46,7 @@ def test_corrupted_table_is_caught():
         both=good.both,
     )
     results = run_verification(Level.QUICK, nonnesting=corrupted)
-    failed = first_failure(results)
-    assert failed is not None
+    failed = next(r for r in results if not r.passed)
     assert "n=3" in failed.detail and "p231" in failed.detail
 
 
