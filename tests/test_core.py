@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
@@ -66,6 +66,59 @@ def test_word_str_emits_comma_form():
     assert Word.parse(str(Word.parse("121632653454"))) == Word.parse("121632653454")
 
 
+def _arcs(word: Word) -> tuple[tuple[int, int, int], ...]:
+    """A word's (opener, closer, label) arcs, sorted by opener."""
+    return tuple((a, b, word.entries[a - 1]) for a, b in arc_pairs(word.entries))
+
+
+def _word_at(pairs, labels, discipline: Discipline) -> Word:
+    """The word labeled_words yields for a shape and a labeling."""
+    n = len(pairs)
+    at = list(shapes(n, discipline)).index(pairs) * math.factorial(n)
+    at += list(permutations(range(1, n + 1))).index(labels)
+    return next(islice(labeled_words(n, discipline), at, None))
+
+
+def _write(pairs, labels) -> tuple[int, ...]:
+    """The k-th label written at both ends of the k-th arc."""
+    entries = [0] * (2 * len(pairs))
+    for (opener, closer), label in zip(pairs, labels):
+        entries[opener - 1] = entries[closer - 1] = label
+    return tuple(entries)
+
+
+def test_word_to_matching_simple():
+    word = Word.parse("1221")
+    assert _arcs(word) == ((1, 4, 1), (2, 3, 2))
+    assert _word_at(((1, 4), (2, 3)), (1, 2), Discipline.NON_CROSSING) == word
+
+
+def test_word_to_matching_longer_example():
+    word = Word.parse("121632653454")
+    expected = {(1, 3, 1), (2, 6, 2), (4, 7, 6), (5, 9, 3), (8, 11, 5), (10, 12, 4)}
+    assert set(_arcs(word)) == expected
+    pairs = ((1, 3), (2, 6), (4, 7), (5, 9), (8, 11), (10, 12))
+    assert _word_at(pairs, (1, 2, 6, 3, 5, 4), Discipline.NON_NESTING) == word
+
+
+def test_word_to_matching_empty():
+    assert _arcs(Word(())) == ()
+    for disc in Discipline:
+        assert list(labeled_words(0, disc)) == [Word(())]
+
+
+def test_matching_to_word():
+    for disc in Discipline:
+        assert _word_at(((1, 2),), (1,), disc) == Word.parse("11")
+    assert _word_at(((1, 4), (2, 3)), (1, 2), Discipline.NON_CROSSING) == Word.parse("1221")
+    assert _word_at(((1, 3), (2, 4)), (1, 2), Discipline.NON_NESTING) == Word.parse("1212")
+    # shape by shape, and labeling by labeling in permutations order
+    nc = [str(w) for w in labeled_words(2, Discipline.NON_CROSSING)]
+    assert nc == ["1,2,2,1", "2,1,1,2", "1,1,2,2", "2,2,1,1"]
+    nn = [str(w) for w in labeled_words(2, Discipline.NON_NESTING)]
+    assert nn == ["1,2,1,2", "2,1,2,1", "1,1,2,2", "2,2,1,1"]
+
+
 def test_word_matching_round_trip():
     # labeled_words writes the k-th label at both ends of the k-th arc,
     # shape by shape and labeling by labeling in permutations order; reading
@@ -82,6 +135,22 @@ def test_word_matching_round_trip():
                 pairs = arc_pairs(word.entries)
                 read_back.append((pairs, tuple(word.entries[a - 1] for a, _ in pairs)))
             assert read_back == expected
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_shape_labeling_map_is_bijective(discipline):
+    # (shape, labeling) -> word is injective and covers n! * C(n) words;
+    # labeled_words yields exactly these words, in the same order
+    for n in range(7):
+        words = [
+            _write(pairs, labeling)
+            for pairs in shapes(n, discipline)
+            for labeling in permutations(range(1, n + 1))
+        ]
+        expected = math.factorial(n) * catalan(n)
+        assert len(words) == expected
+        assert len(set(words)) == expected
+        assert [word.entries for word in labeled_words(n, discipline)] == words
 
 
 def test_discipline_yields_its_family():
