@@ -192,6 +192,9 @@ def _check_tolerance_exponent(text: str) -> None:
 
 def cmd_growth(args: argparse.Namespace) -> OutputRecord:
     which = Discipline(args.which)
+    # Fraction alone also accepts fullwidth and other non-ASCII digits
+    if not args.tolerance.isascii():
+        raise ValidationError(f"bad tolerance {args.tolerance!r}")
     _check_tolerance_exponent(args.tolerance)
     try:
         tolerance = Fraction(args.tolerance)

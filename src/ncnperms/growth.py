@@ -52,7 +52,14 @@ class IntPolynomial:
         return len(self.coefficients) - 1
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        return Fraction(horner(self.coefficients, x))
+        """The value at x = a/b: one integer Horner pass at a over the
+        coefficients c_i b^(d-i), then a single division by b^d."""
+        if self.is_zero:
+            return Fraction(0)
+        x = Fraction(x)
+        d = self.degree
+        scaled = [c * x.denominator ** (d - i) for i, c in enumerate(self.coefficients)]
+        return Fraction(horner(scaled, x.numerator), x.denominator**d)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,16 @@ every table also satisfies a linear recurrence with polynomial coefficients,
 sum_k c_k(n) a(n + k) = 0, of order r <= 15.  The public systems take only
 the first r terms from the convolution system and continue p, q, pbar and
 qbar by those recurrences (``P_RECURSIVE``): about r big-by-small products
-and one exact division per term.  The recurrences were found by guessing
-over the convolution tables, modular linear algebra plus rational
-reconstruction in the style of Kauers & Paule, *The Concrete Tetrahedron*,
-ch. 7; ``tests/guess_recurrences.py`` re-derives them, and the tests check
-the unrolled tables against the convolution systems to index 1000 and
-against the series solver.  The convolution systems stay as the reference
-route.  All arithmetic is exact integer arithmetic; a division that does not
-come out even raises ArithmeticError.
+and one exact division per term.  ``family_table`` reads the same seed
+through its system but unrolls only the one recurrence its family needs
+(r and r' continue as prefix sums of p and q).  The recurrences were found
+by guessing over the convolution tables, modular linear algebra plus
+rational reconstruction in the style of Kauers & Paule, *The Concrete
+Tetrahedron*, ch. 7; ``tests/guess_recurrences.py`` re-derives them, and the
+tests check the unrolled tables against the convolution systems to index
+1000 and against the series solver.  The convolution systems stay as the
+reference route.  All arithmetic is exact integer arithmetic; a division
+that does not come out even raises ArithmeticError.
 
 Table conventions: a sequence whose definition requires a first or last
 entry (the "starts with 1" / "ends with n" variants) has value 0 at index 0;
@@ -338,10 +340,12 @@ P_RECURSIVE: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-def _initial_terms(*families: str) -> int:
-    """How many leading terms the convolution system supplies: the largest
-    order among ``families``."""
-    return max(len(P_RECURSIVE[family]) for family in families) - 1
+#: The last index each convolution seed supplies: the largest order among its
+#: recurrences, less one, so every recurrence starts from a full window.
+_NONNESTING_SEED, _NONCROSSING_SEED = (
+    max(len(P_RECURSIVE[family]) - 2 for family in families)
+    for families in (("p231", "q231"), ("pbar231", "qbar231"))
+)
 
 
 def horner(poly: Sequence[int], x: int | Fraction) -> int | Fraction:
@@ -352,15 +356,17 @@ def horner(poly: Sequence[int], x: int | Fraction) -> int | Fraction:
     return value
 
 
-def _unroll(family: str, values: list[int], limit: int) -> None:
-    """Extend ``values`` in place to index ``limit`` by the stored recurrence.
+def _unrolled(seed: SequenceTable, limit: int) -> SequenceTable:
+    """``seed`` continued to index ``limit`` by its stored recurrence.
 
     Each new term costs one exact division by the leading polynomial; a zero
     divisor or a remainder raises ArithmeticError, never a truncated value.
     """
+    family = seed.name
     recurrence = P_RECURSIVE[family]
     order = len(recurrence) - 1
     *lower, leading = recurrence
+    values = list(seed.values)
     for index in range(len(values), limit + 1):
         n = index - order
         divisor = horner(leading, n)
@@ -376,6 +382,16 @@ def _unroll(family: str, values: list[int], limit: int) -> None:
                 f"{family}: recurrence leaves a remainder at index {index}"
             )
         values.append(quotient)
+    return SequenceTable(family, tuple(values))
+
+
+def _summed(seed: SequenceTable, summands: SequenceTable) -> SequenceTable:
+    """``seed`` continued to the end of ``summands`` by the prefix sums
+    a(n) = summands(n-1) + a(n-1)."""
+    values = list(seed.values)
+    for n in range(len(values), len(summands.values)):
+        values.append(summands[n - 1] + values[n - 1])
+    return SequenceTable(seed.name, tuple(values))
 
 
 def nonnesting_231_system(limit: int) -> NonNesting231System:
@@ -387,22 +403,10 @@ def nonnesting_231_system(limit: int) -> NonNesting231System:
     """
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
-    seed = _nonnesting_convolution(min(limit, _initial_terms("p231", "q231") - 1))
-    p, q, r, rp = (
-        list(table.values)
-        for table in (seed.unconstrained, seed.first_is_1, seed.last_is_n, seed.both)
-    )
-    _unroll("p231", p, limit)
-    _unroll("q231", q, limit)
-    for n in range(len(r), limit + 1):
-        r.append(p[n - 1] + r[n - 1])
-        rp.append(q[n - 1] + rp[n - 1])
-    return NonNesting231System(
-        unconstrained=SequenceTable("p231", tuple(p)),
-        first_is_1=SequenceTable("q231", tuple(q)),
-        last_is_n=SequenceTable("r231", tuple(r)),
-        both=SequenceTable("rprime231", tuple(rp)),
-    )
+    seed = _nonnesting_convolution(min(limit, _NONNESTING_SEED))
+    p = _unrolled(seed.unconstrained, limit)
+    q = _unrolled(seed.first_is_1, limit)
+    return NonNesting231System(p, q, _summed(seed.last_is_n, p), _summed(seed.both, q))
 
 
 def noncrossing_231_system(limit: int) -> NonCrossing231System:
@@ -411,14 +415,36 @@ def noncrossing_231_system(limit: int) -> NonCrossing231System:
     by their stored recurrences."""
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
-    seed = _noncrossing_convolution(min(limit, _initial_terms("pbar231", "qbar231") - 1))
-    p, q = list(seed.unconstrained.values), list(seed.first_is_1.values)
-    _unroll("pbar231", p, limit)
-    _unroll("qbar231", q, limit)
+    seed = _noncrossing_convolution(min(limit, _NONCROSSING_SEED))
     return NonCrossing231System(
-        unconstrained=SequenceTable("pbar231", tuple(p)),
-        first_is_1=SequenceTable("qbar231", tuple(q)),
+        _unrolled(seed.unconstrained, limit), _unrolled(seed.first_is_1, limit)
     )
+
+
+#: Each 231 family: the system field holding it, and the field whose prefix
+#: sums continue it (None: its own stored recurrence does).
+_FIELDS_231 = {
+    "p231": ("unconstrained", None),
+    "q231": ("first_is_1", None),
+    "r231": ("last_is_n", "unconstrained"),
+    "rprime231": ("both", "first_is_1"),
+    "pbar231": ("unconstrained", None),
+    "qbar231": ("first_is_1", None),
+}
+
+
+def _table_231(family: str, limit: int) -> SequenceTable:
+    """One 231 table to index ``limit``, unrolling only the recurrence it
+    needs.  The seed comes from the system at the handover limit, where the
+    system unrolls nothing and the convolution route supplies every term."""
+    if family in ("pbar231", "qbar231"):
+        seed = noncrossing_231_system(min(limit, _NONCROSSING_SEED))
+    else:
+        seed = nonnesting_231_system(min(limit, _NONNESTING_SEED))
+    field, summands = _FIELDS_231[family]
+    if summands is None:
+        return _unrolled(getattr(seed, field), limit)
+    return _summed(getattr(seed, field), _unrolled(getattr(seed, summands), limit))
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -496,17 +522,8 @@ def family_table(family: str, limit: int) -> SequenceTable:
     Families: p231, q231, r231, rprime231 (non-nesting), pbar231, qbar231
     (non-crossing), and q122 optionally paired as "q122,SIGMA".
     """
-    if family in ("p231", "q231", "r231", "rprime231"):
-        system = nonnesting_231_system(limit)
-        return {
-            "p231": system.unconstrained,
-            "q231": system.first_is_1,
-            "r231": system.last_is_n,
-            "rprime231": system.both,
-        }[family]
-    if family in ("pbar231", "qbar231"):
-        system = noncrossing_231_system(limit)
-        return system.unconstrained if family == "pbar231" else system.first_is_1
+    if family in _FIELDS_231:
+        return _table_231(family, limit)
     if family == "q122":
         return closed_form_122(None, limit)
     if family.startswith("q122,"):

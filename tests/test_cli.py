@@ -201,6 +201,12 @@ def test_growth_coarse_tolerances_print_a_rate(capsys, tolerance):
         assert abs(Fraction(out.strip()) - Fraction(target)) <= Fraction(tolerance), out
 
 
+@pytest.mark.parametrize("tolerance", ["\uff11/\uff11\uff10", "1/\u0661\u0660", "1e-\uff15"])
+def test_growth_rejects_non_ascii_tolerance(capsys, tolerance):
+    # fullwidth and Arabic-Indic digits, which Fraction alone would accept
+    _assert_usage_error(*run(capsys, "growth", "non-nesting", "--tolerance", tolerance))
+
+
 def test_ratio_examples(capsys):
     code, out, _ = run(capsys, "ratio", "pbar231", "600", "--places", "5")
     assert code == EXIT_OK and out.strip() == "7.79822"

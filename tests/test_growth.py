@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from ncnperms.growth import (
     reciprocal_bracket,
     round_half_even,
 )
-from ncnperms.recurrences import SequenceTable, family_table
+from ncnperms.recurrences import SequenceTable, family_table, horner
 
 NN_RADICAND = (0, 0, 0, 0, 0, 0, 0, 0, -1, 4, -2, 92, 47, -140, -76, 16, -8)
 NC_RADICAND = (0, 0, 0, -108, 621, 432, 10206, 432, 621, -108)
@@ -29,6 +30,26 @@ def test_int_polynomial():
     assert IntPolynomial((0, 0)).is_zero
     with pytest.raises(ValidationError):
         IntPolynomial(()).degree
+
+
+def test_int_polynomial_evaluate_matches_rational_horner():
+    # the integer route scales c_i by b^(d-i) and divides once by b^d
+    rng = random.Random(11)
+    points = [
+        Fraction(3, 8), Fraction(-5, 2**40), Fraction(1, 2**200),  # dyadic
+        Fraction(2, 3), Fraction(-7, 10**30), Fraction(355, 113),  # non-dyadic
+        Fraction(0), Fraction(1), Fraction(-4), 5,  # integer
+    ]
+    assert IntPolynomial(()).evaluate(Fraction(2, 3)) == 0
+    for degree in range(17):
+        coefficients = tuple(rng.randint(-10**6, 10**6) for _ in range(degree)) + (
+            rng.choice((-1, 1)) * rng.randint(1, 10**6),
+        )
+        polynomial = IntPolynomial(coefficients)
+        for x in points:
+            value = polynomial.evaluate(x)
+            assert type(value) is Fraction
+            assert value == Fraction(horner(coefficients, Fraction(x))), (degree, x)
 
 
 def test_builtin_radicands():
@@ -140,6 +161,32 @@ def test_root_value_rendering_at_fine_tolerance():
         builtin_radicand(Discipline.NON_NESTING), Fraction(1, 10**6)
     )
     assert approx.value == "0.161809"
+
+
+@pytest.mark.parametrize(
+    "discipline,places,value,bound_units",
+    [
+        (Discipline.NON_NESTING, 30, "6.180122065548659284625417633749", 86),
+        (Discipline.NON_CROSSING, 30, "7.817744675934363226933673178936", 52),
+        (
+            Discipline.NON_NESTING,
+            60,
+            "6.180122065548659284625417633748672105581008601732559496938762",
+            56,
+        ),
+        (
+            Discipline.NON_CROSSING,
+            60,
+            "7.817744675934363226933673178935977404168882789528103540114138",
+            41,
+        ),
+    ],
+)
+def test_growth_rate_digits_at_fine_tolerances(discipline, places, value, bound_units):
+    # frozen from the rational Horner evaluation; the bound has places + 2 digits
+    approx = growth_rate(discipline, Fraction(1, 10**places))
+    assert approx.value == value
+    assert approx.error_bound == f"0.{bound_units:0{places + 2}d}"
 
 
 def test_reciprocal_of_exact_bracket():

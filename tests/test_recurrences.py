@@ -107,6 +107,51 @@ def test_recurrences_match_convolution_across_the_handover():
         assert unrolled == reference, limit
 
 
+_SYSTEM_FIELDS = {
+    "p231": (nonnesting_231_system, "unconstrained"),
+    "q231": (nonnesting_231_system, "first_is_1"),
+    "r231": (nonnesting_231_system, "last_is_n"),
+    "rprime231": (nonnesting_231_system, "both"),
+    "pbar231": (noncrossing_231_system, "unconstrained"),
+    "qbar231": (noncrossing_231_system, "first_is_1"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SYSTEM_FIELDS))
+def test_family_table_builds_one_family_as_the_system_does(family):
+    # family_table unrolls only the recurrence its family needs; every limit
+    # across the handover (orders 10 and 15) and the certified limit agree
+    system, field = _SYSTEM_FIELDS[family]
+    for limit in [*range(18), 1000]:
+        assert family_table(family, limit) == getattr(system(limit), field), limit
+
+
+def _bump_recurrence(monkeypatch, family):
+    # adds 1 to the constant of c_1, so the first unrolled term (shift n = 0)
+    # gains a(1) = 1 and the exact division by c_r(0) leaves a remainder
+    c = P_RECURSIVE[family]
+    monkeypatch.setitem(P_RECURSIVE, family, (c[0], (c[1][0] + 1,) + c[1][1:]) + c[2:])
+
+
+@pytest.mark.parametrize(
+    "broken,untouched,dependent",
+    [
+        ("q231", ("p231", "r231"), ("q231", "rprime231")),
+        ("qbar231", ("pbar231",), ("qbar231",)),
+    ],
+)
+def test_family_table_never_unrolls_a_recurrence_it_does_not_print(
+    monkeypatch, broken, untouched, dependent
+):
+    expected = {family: family_table(family, 100) for family in untouched}
+    _bump_recurrence(monkeypatch, broken)
+    for family in untouched:
+        assert family_table(family, 100) == expected[family]
+    for family in dependent:
+        with pytest.raises(ArithmeticError, match=f"{broken}.*remainder"):
+            family_table(family, 100)
+
+
 def test_unroll_raises_on_a_remainder(monkeypatch):
     # p231 has order 14, so index 15 is its first unrolled term (shift n = 1,
     # divisor c_14(1) = 272); adding 1 to c_0's constant adds a(1) = 1 to a
