@@ -30,7 +30,6 @@ from .patterns import (
     contains,
     is_non_crossing,
     is_non_nesting,
-    is_stirling,
 )
 from .recurrences import (
     FAMILIES,
@@ -86,7 +85,6 @@ __all__ = [
     "growth_rate",
     "is_non_crossing",
     "is_non_nesting",
-    "is_stirling",
     "labeled_words",
     "minimal_positive_root",
     "nonnesting_231_system",

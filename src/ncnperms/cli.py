@@ -1,4 +1,4 @@
-"""Command-line front end: count, seq, series, growth, ratio, verify, export.
+"""Command-line front end: count, seq, series, growth, ratio, verify.
 
 Every numeric result is printed as an exact decimal string (never scientific
 notation) and carries a provenance tag naming the route that produced it:
@@ -6,7 +6,7 @@ BRUTE_FORCE enumeration, the RECURRENCE tables, the SERIES solver, or a
 CLOSED_FORM.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 resource
-cap exceeded, 4 I/O failure.
+cap exceeded, 4 stdout could not be written.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import formats
@@ -33,7 +32,6 @@ from .series import builtin_equation, solve_algebraic
 from .verify import Level, run_verification
 
 TABLE_CAP = 1000
-OUTPUT_DIR_ENV = "NCNPERMS_OUTPUT_DIR"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -121,8 +119,8 @@ def _check_table_cap(limit: int, force: bool) -> None:
 
 
 def _check_printable(values: Iterable[int]) -> None:
-    """Refuse, before anything is printed or written, a value with more
-    digits than Python's int-to-string limit allows."""
+    """Refuse, before anything is printed, a value with more digits than
+    Python's int-to-string limit allows."""
     str_limit = sys.get_int_max_str_digits()  # 0 means Python sets no limit
     if str_limit and max(map(abs, values), default=0) >= 10**str_limit:
         raise ValidationError(
@@ -131,15 +129,13 @@ def _check_printable(values: Iterable[int]) -> None:
         )
 
 
-def _table_provenance(family: str) -> Provenance:
-    return Provenance.CLOSED_FORM if family.startswith("q122") else Provenance.RECURRENCE
-
-
 def cmd_seq(args: argparse.Namespace) -> OutputRecord:
     _check_table_cap(args.limit, args.force)
     table = family_table(args.family, args.limit)
     _check_printable(table.values)
-    provenance = _table_provenance(args.family)
+    provenance = (
+        Provenance.CLOSED_FORM if args.family.startswith("q122") else Provenance.RECURRENCE
+    )
     # A non-plain format prints the emitter's text without --json, so the
     # per-value results are built only where they are printed: each value is
     # converted to a decimal string once.
@@ -243,35 +239,6 @@ def cmd_verify(args: argparse.Namespace) -> OutputRecord:
     return OutputRecord("verify", {"level": level.value}, results)
 
 
-def _resolve_output_path(args: argparse.Namespace) -> Path:
-    extension = formats.EXTENSIONS[args.format]
-    default_name = f"{args.family.replace(',', '_')}_N{args.limit}.{extension}"
-    base = Path(os.environ.get(OUTPUT_DIR_ENV, "."))
-    if args.output is None:
-        return base / default_name
-    path = Path(args.output)
-    return path if path.is_absolute() else base / path
-
-
-def cmd_export(args: argparse.Namespace) -> OutputRecord:
-    _check_table_cap(args.limit, args.force)
-    table = family_table(args.family, args.limit)
-    _check_printable(table.values)
-    text = formats.EMITTERS[args.format](table)
-    path = _resolve_output_path(args)
-    path.write_text(text)
-    return OutputRecord(
-        "export",
-        {
-            "family": args.family,
-            "limit": args.limit,
-            "format": args.format,
-            "path": str(path),
-        },
-        (Result(str(path), _table_provenance(args.family), label="path"),),
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process; parsing leaves it unchanged."""
@@ -348,21 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(handler=cmd_verify)
 
-    p_export = sub.add_parser(
-        "export", parents=[common], help="write a sequence table to a file"
-    )
-    p_export.add_argument("family", metavar="FAMILY")
-    p_export.add_argument("-N", "--limit", type=int, required=True, metavar="N")
-    p_export.add_argument("--format", choices=("bfile", "csv", "json"), default="bfile")
-    p_export.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help=f"output path; relative paths resolve against ${OUTPUT_DIR_ENV} or the "
-        "working directory",
-    )
-    p_export.add_argument("--force", action="store_true")
-    p_export.set_defaults(handler=cmd_export)
     return parser
 
 
@@ -383,8 +335,6 @@ def _print_record(record: OutputRecord, as_json: bool) -> None:
                 print(f"PASS: {r.label}")
             else:
                 print(f"FAIL: {r.label} ({r.detail})")
-    elif record.command == "export":
-        print(f"wrote {record.results[0].value}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -392,6 +342,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         record = args.handler(args)
+        _print_record(record, args.json)
+        sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -403,7 +355,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    _print_record(record, args.json)
     if record.command == "verify":
         failed = next((r for r in record.results if r.value == "fail"), None)
         if failed is not None:
@@ -413,4 +364,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    code = main()
+    if code == EXIT_IO:
+        # stdout is unwritable: send the interpreter's final flush to devnull
+        # so it adds no second error (see the SIGPIPE note in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -98,4 +98,3 @@ def parse_json(text: str) -> SequenceTable:
 
 
 EMITTERS = {"bfile": to_bfile, "csv": to_csv, "json": to_json}
-EXTENSIONS = {"bfile": "txt", "csv": "csv", "json": "json"}

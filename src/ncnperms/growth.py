@@ -145,16 +145,14 @@ def builtin_radicand(which: Discipline) -> IntPolynomial:
 
 
 def minimal_positive_root(
-    polynomial: IntPolynomial,
-    tolerance: RationalLike,
-    max_subdivisions: int = MAX_SCAN_SUBDIVISIONS,
+    polynomial: IntPolynomial, tolerance: RationalLike
 ) -> DecimalApprox:
     """Bracket the smallest positive real root in (0, 1] to within tolerance.
 
     Any x**k factor is divided out first (recorded in the result notes), so
     the trivial root at 0 is excluded.  The scan walks left to right over
     uniform grids of doubling size until it sees a sign change (then bisects)
-    or the grid exceeds ``max_subdivisions`` intervals (then fails); signs
+    or the grid exceeds MAX_SCAN_SUBDIVISIONS intervals (then fails); signs
     come from exact rational evaluation, so the bracket is certified.  If a
     grid point evaluates to zero exactly, that point is the root and the
     bracket collapses onto it.
@@ -175,7 +173,7 @@ def minimal_positive_root(
 
     sign_at_zero = 1 if reduced.coefficients[0] > 0 else -1
     subdivisions = 1
-    while subdivisions <= max_subdivisions:
+    while subdivisions <= MAX_SCAN_SUBDIVISIONS:
         bracket = None
         prev_x = Fraction(0)
         for t in range(1, subdivisions + 1):

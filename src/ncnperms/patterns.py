@@ -3,8 +3,8 @@
 A pattern such as 231 or 1212 occurs in a word if some subsequence of the
 word relates entry-by-entry exactly as the pattern does: equal pattern
 letters must match equal word entries, and strictly smaller pattern letters
-must match strictly smaller entries.  Crossing, nesting, and the 212 pattern
-get named predicates because they define the word families studied here.
+must match strictly smaller entries.  Crossing and nesting get named
+predicates because they define the word families studied here.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class Pattern:
 
 CROSSING = frozenset({Pattern((1, 2, 1, 2)), Pattern((2, 1, 2, 1))})
 NESTING = frozenset({Pattern((1, 2, 2, 1)), Pattern((2, 1, 1, 2))})
-STIRLING_FORBIDDEN = frozenset({Pattern((2, 1, 2))})
 
 
 @cache
@@ -172,8 +171,3 @@ def is_non_crossing(word: Word) -> bool:
 def is_non_nesting(word: Word) -> bool:
     """No arc sits strictly inside another: the word avoids 1221 and 2112."""
     return avoids_all(word, NESTING)
-
-
-def is_stirling(word: Word) -> bool:
-    """The word avoids 212."""
-    return avoids_all(word, STIRLING_FORBIDDEN)

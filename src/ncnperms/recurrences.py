@@ -456,7 +456,7 @@ def _compositions(n: int) -> Iterator[tuple[int, ...]]:
             yield (head, *rest)
 
 
-def qbar_via_compositions(limit: int, cap: int = COMPOSITION_CAP) -> SequenceTable:
+def qbar_via_compositions(limit: int) -> SequenceTable:
     """The first=1 non-crossing 231-avoiding counts, summed directly over
     compositions: the count at n is the sum over compositions (x1,...,xk)
     of n of the products p(x1-1) * ... * p(xk-1) of unconstrained counts.
@@ -464,9 +464,9 @@ def qbar_via_compositions(limit: int, cap: int = COMPOSITION_CAP) -> SequenceTab
     Exponential in ``limit`` (2^(n-1) compositions), hence capped; this is
     an independent route used to cross-check the convolution tables.
     """
-    if limit > cap:
+    if limit > COMPOSITION_CAP:
         raise ResourceLimitError(
-            f"composition sum is exponential; limit {limit} exceeds cap {cap}"
+            f"composition sum is exponential; limit {limit} exceeds cap {COMPOSITION_CAP}"
         )
     p = noncrossing_231_system(max(limit, 1)).unconstrained
     values = [0] * (limit + 1)

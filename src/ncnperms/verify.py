@@ -124,14 +124,6 @@ def decreasing_labeling_is_unique_122_avoider(n: int) -> bool:
     return avoiders == catalan(n)
 
 
-def count_122_family(n: int) -> dict[str, int]:
-    """Counts of non-crossing words avoiding 122, and avoiding 122 plus each
-    single second pattern of length 3, from one enumeration pass.
-    """
-    counted = count_by_constraint(n, Discipline.NON_CROSSING, FAMILIES_122)
-    return {key: counts[Constraint.NONE] for key, counts in counted.items()}
-
-
 # ---------------------------------------------------------------------------
 # The verification run
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from ncnperms.recurrences import (
 from ncnperms.series import builtin_equation, residual, solve_algebraic
 from ncnperms.verify import (
     FAMILIES_122,
-    count_122_family,
     decreasing_labeling_is_unique_122_avoider,
     window_extremes_ok,
     window_traffic_ok,
@@ -91,7 +90,8 @@ def test_criterion_04_closed_forms_up_to_6():
     with criterion(4, "brute force matches the 122 closed forms for n <= 6", 120.0):
         fib = (1, 2, 3, 5, 8, 13)
         for n in range(1, 7):
-            counts = count_122_family(n)
+            counted = count_by_constraint(n, Discipline.NON_CROSSING, FAMILIES_122)
+            counts = {key: c[Constraint.NONE] for key, c in counted.items()}
             assert counts["122"] == catalan(n)
             assert counts["122,132"] == catalan(n)
             assert counts["122,213"] == fib[n - 1]

@@ -1,7 +1,13 @@
+import argparse
+import errno
 import json
+import os
+import shlex
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +20,11 @@ from ncnperms.cli import (
     build_parser,
     main,
 )
-from ncnperms.formats import parse_bfile, parse_csv, parse_json
-from ncnperms.recurrences import family_table
+from ncnperms.formats import parse_bfile, parse_csv, parse_json, to_bfile
+from ncnperms.recurrences import FAMILIES, family_table
 from ncnperms.verify import CheckResult
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -238,17 +246,16 @@ def test_ratio_rejects_places_beyond_int_string_limit(capsys):
         ("seq", "p231", "-N", "815", "--format", "json"),
         ("seq", "pbar231", "-N", "723", "--json"),
         ("series", "non-crossing", "-N", "723"),
-        ("export", "p231", "-N", "815"),
-        ("export", "pbar231", "-N", "723", "--format", "csv"),
+        ("seq", "p231", "-N", "815", "--format", "bfile"),
+        ("seq", "pbar231", "-N", "723", "--format", "csv"),
     ],
 )
-def test_values_past_int_string_limit_are_usage_errors(capsys, tmp_path, monkeypatch, argv):
-    monkeypatch.setenv("NCNPERMS_OUTPUT_DIR", str(tmp_path))
+def test_values_past_int_string_limit_are_usage_errors(capsys, argv):
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)
         code, out, err = run(capsys, *argv)
-        assert code == EXIT_USAGE and out == "" and list(tmp_path.iterdir()) == []
+        assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "640" in err
         code, _, _ = run(capsys, *argv[:3], str(int(argv[3]) - 1))  # one lower fits
         assert code == EXIT_OK
@@ -300,37 +307,86 @@ def test_json_record(capsys):
     assert record["results"][0]["provenance"] == "BRUTE_FORCE"
 
 
-def test_export_bfile(capsys, tmp_path):
-    target = tmp_path / "p231.txt"
-    code, out, _ = run(capsys, "export", "p231", "-N", "2", "-o", str(target))
-    assert code == EXIT_OK
-    assert target.read_text() == "0 1\n1 1\n2 4\n"
-    assert str(target) in out
+@pytest.mark.parametrize("family", FAMILIES)
+def test_seq_formats_round_trip_every_family(capsys, family):
+    table = family_table(family, 10)
+    for fmt, parse in (("bfile", parse_bfile), ("csv", parse_csv)):
+        code, out, _ = run(capsys, "seq", family, "-N", "10", "--format", fmt)
+        assert code == EXIT_OK and parse(out, name=family) == table
+    code, out, _ = run(capsys, "seq", family, "-N", "10", "--format", "json")
+    assert code == EXIT_OK and parse_json(out) == table
 
 
-def test_export_round_trip(capsys, tmp_path):
-    for fmt, parser in (("bfile", parse_bfile), ("csv", parse_csv), ("json", parse_json)):
-        target = tmp_path / f"q231.{fmt}"
-        code, _, _ = run(capsys, "export", "q231", "-N", "10", "--format", fmt, "-o", str(target))
-        assert code == EXIT_OK
-        if fmt == "json":
-            parsed = parser(target.read_text())
-        else:
-            parsed = parser(target.read_text(), name="q231")
-        assert parsed == family_table("q231", 10)
+def test_export_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["export", "p231", "-N", "2"])
+    assert info.value.code == EXIT_USAGE
+    assert "invalid choice: 'export'" in capsys.readouterr().err
+    (commands,) = (
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert list(commands) == ["count", "seq", "series", "growth", "ratio", "verify"]
 
 
-def test_export_default_path_uses_env_dir(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("NCNPERMS_OUTPUT_DIR", str(tmp_path))
-    code, out, _ = run(capsys, "export", "q122,213", "-N", "5", "--format", "csv")
-    assert code == EXIT_OK
-    written = tmp_path / "q122_213_N5.csv"
-    assert written.exists()
-    assert parse_csv(written.read_text(), name="q122,213") == family_table("q122,213", 5)
+def _start_cli(argv, stdout):
+    """The console script's code path, ``entry_point``, in a child process
+    importing this checkout's sources, with Python's default buffered stdout:
+    PYTHONUNBUFFERED would leave nothing for the final flush to fail on, and
+    drops the rest of a short write without an error."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-c", "from ncnperms.cli import entry_point; entry_point()", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
 
 
-def test_export_io_failure(capsys, tmp_path):
-    missing = tmp_path / "no" / "such" / "dir" / "out.txt"
-    code, _, err = run(capsys, "export", "p231", "-N", "2", "-o", str(missing))
-    assert code == EXIT_IO
-    assert "error" in err
+def _assert_stdout_error(proc, code):
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == EXIT_IO
+    # one line, and no "Traceback" or "Exception ignored" from the final flush
+    assert err.decode() == f"error: [Errno {code}] {os.strerror(code)}\n"
+
+
+def test_closed_stdout_pipe_exits_4_with_one_error_line():
+    # the reader takes the first 4 KB of about 400 KB of b-file, then closes
+    read_end, write_end = os.pipe()
+    proc = _start_cli(("seq", "p231", "-N", "1000", "--format", "bfile"), write_end)
+    os.close(write_end)
+    with open(read_end, "rb") as pipe:
+        head = pipe.read(4096)
+    assert head.decode() == to_bfile(family_table("p231", 1000))[:4096]
+    _assert_stdout_error(proc, errno.EPIPE)
+    # a pipe closed before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _start_cli(("verify",), write_end)
+    os.close(write_end)
+    _assert_stdout_error(proc, errno.EPIPE)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_disk_on_stdout_exits_4_with_one_error_line():
+    with open("/dev/full", "wb") as full:
+        proc = _start_cli(("seq", "p231", "-N", "10"), full)
+    _assert_stdout_error(proc, errno.ENOSPC)
+
+
+def test_readme_cli_examples(capsys):
+    # each `ncnperms ...` line of the README's CLI block exits 0; a trailing
+    # "# ... -> value" comment is its exact stdout
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("ncnperms ")]
+    assert len(lines) >= 10
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert code == EXIT_OK, (line, err)
+        if "->" in comment:
+            assert out.strip() == comment.split("->", 1)[1].strip(), line

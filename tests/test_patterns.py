@@ -11,7 +11,6 @@ from ncnperms.patterns import (
     contains,
     is_non_crossing,
     is_non_nesting,
-    is_stirling,
     occurrence_arcs,
 )
 
@@ -63,9 +62,7 @@ def test_named_families():
     assert is_non_nesting(Word.parse("121632653454"))
     assert not is_non_crossing(Word.parse("1212"))
     assert is_non_crossing(Word.parse("1221"))
-    assert is_stirling(Word.parse("1221"))
-    assert not is_stirling(Word.parse("1212"))
-    assert is_non_crossing(Word(())) and is_non_nesting(Word(())) and is_stirling(Word(()))
+    assert is_non_crossing(Word(())) and is_non_nesting(Word(()))
 
 
 @pytest.mark.parametrize("n", range(6))

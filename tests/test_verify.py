@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 from ncnperms.core import Discipline, Word
-from ncnperms.enumeration import labeled_words
+from ncnperms.enumeration import Constraint, count_by_constraint, labeled_words
 from ncnperms.recurrences import (
     NonNesting231System,
     SequenceTable,
@@ -12,8 +12,8 @@ from ncnperms.recurrences import (
     nonnesting_231_system,
 )
 from ncnperms.verify import (
+    FAMILIES_122,
     Level,
-    count_122_family,
     decreasing_labeling_is_unique_122_avoider,
     run_verification,
     window_extremes_ok,
@@ -131,7 +131,8 @@ def test_unique_decreasing_labeling_small():
 
 
 def test_count_122_family_small():
-    assert count_122_family(3) == {
+    counted = count_by_constraint(3, Discipline.NON_CROSSING, FAMILIES_122)
+    assert {key: counts[Constraint.NONE] for key, counts in counted.items()} == {
         "122": 5,
         "122,132": 5,
         "122,213": 3,
