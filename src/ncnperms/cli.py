@@ -320,21 +320,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_record(record: OutputRecord, as_json: bool) -> None:
     if as_json:
-        print(record.to_json())
-        return
-    if record.command in ("count", "growth", "ratio"):
-        print(record.results[0].value)
+        text = record.to_json() + "\n"
+    elif record.command in ("count", "growth", "ratio"):
+        text = record.results[0].value + "\n"
+    elif record.command == "seq" and record.parameters["format"] != "plain":
+        text = formats.EMITTERS[record.parameters["format"]](record.table)
     elif record.command in ("seq", "series"):
-        if record.command == "seq" and record.parameters["format"] != "plain":
-            sys.stdout.write(formats.EMITTERS[record.parameters["format"]](record.table))
-        else:
-            print(" ".join(r.value for r in record.results))
-    elif record.command == "verify":
-        for r in record.results:
-            if r.value == "pass":
-                print(f"PASS: {r.label}")
-            else:
-                print(f"FAIL: {r.label} ({r.detail})")
+        text = " ".join(r.value for r in record.results) + "\n"
+    else:  # verify
+        text = "".join(
+            f"PASS: {r.label}\n" if r.value == "pass" else f"FAIL: {r.label} ({r.detail})\n"
+            for r in record.results
+        )
+    out = sys.stdout
+    binary = getattr(out, "buffer", None)
+    if binary is None:  # an in-memory text stream such as io.StringIO
+        out.write(text)
+        return
+    # Under PYTHONUNBUFFERED the binary layer is the raw file, which may take
+    # only part of a write, and the text layer drops the rest without an
+    # error; so write the bytes here until all are taken or a write raises.
+    out.flush()
+    data = memoryview(text.encode(out.encoding, out.errors))
+    while data:
+        data = data[binary.write(data) :]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

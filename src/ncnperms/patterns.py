@@ -16,8 +16,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .core import ValidationError, Word
 
-_UNBOUNDED = float("inf")
-
 
 @dataclass(frozen=True)
 class Pattern:
@@ -88,8 +86,12 @@ def contains(word: Word, pattern: Pattern) -> bool:
 
     Backtracking over candidate positions, pruning candidates whose value is
     inconsistent with the entries matched so far; which earlier entries bound
-    each pattern position is worked out once per pattern.  This is a complete
-    search, exact for every pattern length.
+    each pattern position is worked out once per pattern.  There is no
+    recursion: an array keeps, for each pattern position before the current
+    one, its bounds and the rest of its scan over word positions.  The
+    current position takes its next consistent entry; when none is left, the
+    search steps back one position and resumes that position's scan.  This
+    is a complete search, exact for every pattern length.
 
     >>> contains(Word.parse("2121"), Pattern.parse("212"))
     True
@@ -102,30 +104,33 @@ def contains(word: Word, pattern: Pattern) -> bool:
     if t > len(w):
         return False
     slack = len(w) - t
-    matched = [0] * t
-
-    def search(k: int, start: int) -> bool:
-        if k == t:
-            return True
-        equal, lo, hi = plan[k]
-        stop = slack + k + 1
-        if equal >= 0:
-            bound = matched[equal]
-            for pos in range(start, stop):
-                if w[pos] == bound and search(k + 1, pos + 1):
-                    return True
-            return False
-        lower = matched[lo] if lo >= 0 else 0
-        upper = matched[hi] if hi >= 0 else _UNBOUNDED
-        for pos in range(start, stop):
+    top = len(w)  # labels run 1..n, so every entry is below 2n
+    matched = [0] * t  # entry matched at each pattern position
+    saved: list = [None] * t  # (lower, upper, scan) of each position before k
+    k, lower, upper, scan = 0, 0, top, iter(range(slack + 1))
+    while True:
+        for pos in scan:
             v = w[pos]
             if lower < v < upper:
                 matched[k] = v
-                if search(k + 1, pos + 1):
+                if k + 1 == t:
                     return True
-        return False
-
-    return search(0, 0)
+                saved[k] = lower, upper, scan
+                k += 1
+                equal, lo, hi = plan[k]
+                if equal >= 0:  # entries are integers: v equals b iff b - 1 < v < b + 1
+                    lower = matched[equal] - 1
+                    upper = lower + 2
+                else:
+                    lower = matched[lo] if lo >= 0 else 0
+                    upper = matched[hi] if hi >= 0 else top
+                scan = iter(range(pos + 1, slack + k + 1))
+                break
+        else:
+            if not k:
+                return False
+            k -= 1
+            lower, upper, scan = saved[k]
 
 
 def occurrence_arcs(

@@ -330,14 +330,16 @@ def test_export_is_not_a_command(capsys):
     assert list(commands) == ["count", "seq", "series", "growth", "ratio", "verify"]
 
 
-def _start_cli(argv, stdout):
+def _start_cli(argv, stdout, unbuffered):
     """The console script's code path, ``entry_point``, in a child process
-    importing this checkout's sources, with Python's default buffered stdout:
-    PYTHONUNBUFFERED would leave nothing for the final flush to fail on, and
-    drops the rest of a short write without an error."""
+    importing this checkout's sources, with Python's default buffered stdout
+    or with PYTHONUNBUFFERED=1, where the binary layer under stdout is the raw
+    file and may take only part of a write."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
         [sys.executable, "-c", "from ncnperms.cli import entry_point; entry_point()", *argv],
         stdout=stdout,
@@ -354,27 +356,30 @@ def _assert_stdout_error(proc, code):
 
 
 def test_closed_stdout_pipe_exits_4_with_one_error_line():
-    # the reader takes the first 4 KB of about 400 KB of b-file, then closes
-    read_end, write_end = os.pipe()
-    proc = _start_cli(("seq", "p231", "-N", "1000", "--format", "bfile"), write_end)
-    os.close(write_end)
-    with open(read_end, "rb") as pipe:
-        head = pipe.read(4096)
-    assert head.decode() == to_bfile(family_table("p231", 1000))[:4096]
-    _assert_stdout_error(proc, errno.EPIPE)
-    # a pipe closed before the first write
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    proc = _start_cli(("verify",), write_end)
-    os.close(write_end)
-    _assert_stdout_error(proc, errno.EPIPE)
+    for unbuffered in (False, True):
+        # the reader takes the first 4 KB of about 400 KB of b-file, then closes
+        read_end, write_end = os.pipe()
+        argv = ("seq", "p231", "-N", "1000", "--format", "bfile")
+        proc = _start_cli(argv, write_end, unbuffered)
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            head = pipe.read(4096)
+        assert head.decode() == to_bfile(family_table("p231", 1000))[:4096]
+        _assert_stdout_error(proc, errno.EPIPE)
+        # a pipe closed before the first write
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = _start_cli(("verify",), write_end, unbuffered)
+        os.close(write_end)
+        _assert_stdout_error(proc, errno.EPIPE)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_full_disk_on_stdout_exits_4_with_one_error_line():
-    with open("/dev/full", "wb") as full:
-        proc = _start_cli(("seq", "p231", "-N", "10"), full)
-    _assert_stdout_error(proc, errno.ENOSPC)
+    for unbuffered in (False, True):
+        with open("/dev/full", "wb") as full:
+            proc = _start_cli(("seq", "p231", "-N", "10"), full, unbuffered)
+        _assert_stdout_error(proc, errno.ENOSPC)
 
 
 def test_readme_cli_examples(capsys):

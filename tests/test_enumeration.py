@@ -161,6 +161,40 @@ def test_bitset_counts_match_per_word_route(discipline):
 
 
 @pytest.mark.parametrize("discipline", list(Discipline))
+def test_patterns_sharing_a_class_in_one_call(discipline):
+    # 123..321, 1212/2121 and 1221/2112 each fit the same arcs, so one call
+    # searches each class once and reads every pattern's letters off it
+    families = {text: (Pattern.parse(text),) for text in CROSS_CHECKED}
+    for n in range(6):
+        words = list(labeled_words(n, discipline))
+        counted = count_by_constraint(n, discipline, families)
+        for text, patterns in families.items():
+            assert counted[text] == _per_word_counts(words, patterns, n), (n, text)
+
+
+#: ROADMAP item 7's census at n = 7: avoiders of each length-3 pattern, one
+#: (non-crossing, non-nesting) pair per reverse/complement orbit
+CENSUS_AT_7 = {
+    "132 213 231 312": (22617, 9233),
+    "123 321": (15975, 10729),
+    "112 211 122 221": (catalan(7), catalan(7)),
+    "121 212": (math.prod(range(1, 14, 2)), math.factorial(7)),
+}
+
+
+def test_length3_census_at_n7():
+    families = {
+        text: (Pattern.parse(text),) for orbit in CENSUS_AT_7 for text in orbit.split()
+    }
+    assert len(families) == 12
+    for disc, column in ((Discipline.NON_CROSSING, 0), (Discipline.NON_NESTING, 1)):
+        counted = count_by_constraint(7, disc, families)
+        for orbit, counts in CENSUS_AT_7.items():
+            for text in orbit.split():
+                assert counted[text][Constraint.NONE] == counts[column], (disc, text)
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
 def test_several_pattern_sets_from_one_pass(discipline):
     # sets share patterns, so a bitset reused across sets must not leak
     p = {text: Pattern.parse(text) for text in ("231", "122", "321", "1221", "121")}

@@ -129,6 +129,18 @@ def test_contains_agrees_with_subsequence_definition():
             assert contains(Word(entries), pattern) == expected, (text, entries)
 
 
+def test_contains_backtracks_across_equal_letters():
+    # repeated letters and length 5: a dead end after an equal letter must
+    # step back to an earlier pattern position, not stop the search
+    texts = "1 11 111 121 1211 3412 12312".split()
+    words = [entries for n in range(5) for entries in all_words(n)]
+    for text in texts:
+        pattern = Pattern.parse(text)
+        for entries in words:
+            expected = _occurs_by_definition(entries, pattern.letters)
+            assert contains(Word(entries), pattern) == expected, (text, entries)
+
+
 def test_occurrence_arcs_by_hand_at_n3():
     # the second shape, read from the Dyck word (()()), pairs as 1..6 / 2..3 /
     # 4..5 under NON_CROSSING, giving the words x y y z z x, and as 1..3 /
