@@ -7,9 +7,8 @@ an implicit-equation series solver -- plus
 growth-rate analysis, all cross-validated against each other.
 """
 
-from .core import Discipline, ResourceLimitError, ValidationError, Word
+from .core import Constraint, Discipline, ResourceLimitError, ValidationError, Word
 from .enumeration import (
-    Constraint,
     EnumerationCapError,
     count_by_constraint,
     labeled_words,
@@ -33,8 +32,6 @@ from .patterns import (
 )
 from .recurrences import (
     FAMILIES,
-    NonCrossing231System,
-    NonNesting231System,
     SequenceTable,
     catalan,
     closed_form_122,
@@ -63,8 +60,6 @@ __all__ = [
     "EnumerationCapError",
     "FAMILIES",
     "IntPolynomial",
-    "NonCrossing231System",
-    "NonNesting231System",
     "Pattern",
     "ResourceLimitError",
     "RootNotFoundError",

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import formats
-from .core import Discipline, ResourceLimitError, ValidationError
-from .enumeration import ENUMERATION_CAP, Constraint, count_by_constraint
+from .core import Constraint, Discipline, ResourceLimitError, ValidationError
+from .enumeration import ENUMERATION_CAP, count_by_constraint
 from .growth import MAX_GROWTH_PLACES, growth_rate, ratio
 from .patterns import Pattern
 from .recurrences import FAMILIES, SequenceTable, family_table
@@ -96,7 +96,7 @@ def cmd_count(args: argparse.Namespace) -> OutputRecord:
     else:
         constraint = Constraint.NONE
     discipline = _discipline(args)
-    cap = args.n if args.force else args.cap
+    cap = args.n if args.force else ENUMERATION_CAP
     value = count_by_constraint(args.n, discipline, patterns, cap)[constraint]
     return OutputRecord(
         "count",
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--first-is-1", action="store_true")
     p_count.add_argument("--last-is-n", action="store_true")
     p_count.add_argument("-n", type=int, required=True, metavar="N")
-    p_count.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p_count.add_argument("--force", action="store_true", help="lift the enumeration cap")
     p_count.set_defaults(handler=cmd_count)
 

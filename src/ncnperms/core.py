@@ -36,6 +36,15 @@ class Discipline(Enum):
     NON_NESTING = "non-nesting"
 
 
+class Constraint(Enum):
+    """Positional restriction applied on top of pattern avoidance."""
+
+    NONE = "none"
+    FIRST_IS_1 = "first-is-1"
+    LAST_IS_N = "last-is-n"
+    BOTH = "first-is-1-and-last-is-n"
+
+
 @cache
 def _doubled_labels(n: int) -> list[int]:
     """[1, 1, 2, 2, ..., n, n]: a word's entries in sorted order."""

@@ -18,13 +18,12 @@ same sequence in the same order.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import cache, reduce
 from itertools import permutations
 from operator import or_
 from typing import Hashable, Iterable, Iterator, Mapping
 
-from .core import Discipline, ResourceLimitError, ValidationError, Word
+from .core import Constraint, Discipline, ResourceLimitError, ValidationError, Word
 from .patterns import Pattern, occurrence_arcs
 
 ENUMERATION_CAP = 7
@@ -35,15 +34,6 @@ class EnumerationCapError(ResourceLimitError):
 
     Callers wanting larger indices should use the recurrences module.
     """
-
-
-class Constraint(Enum):
-    """Positional restriction applied on top of pattern avoidance."""
-
-    NONE = "none"
-    FIRST_IS_1 = "first-is-1"
-    LAST_IS_N = "last-is-n"
-    BOTH = "first-is-1-and-last-is-n"
 
 
 Shape = tuple[tuple[int, int], ...]

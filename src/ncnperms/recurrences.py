@@ -12,9 +12,10 @@ every table also satisfies a linear recurrence with polynomial coefficients,
 sum_k c_k(n) a(n + k) = 0, of order r <= 15.  The public systems take only
 the first r terms from the convolution system and continue p, q, pbar and
 qbar by those recurrences (``P_RECURSIVE``): about r big-by-small products
-and one exact division per term.  ``family_table`` reads the same seed
-through its system but unrolls only the one recurrence its family needs
-(r and r' continue as prefix sums of p and q).  The recurrences were found
+and one exact division per term.  Both systems return their tables keyed by
+family name.  ``family_table`` reads the same seed through its system but
+unrolls only the one recurrence its family needs (r and r' continue as
+prefix sums of p and q).  The recurrences were found
 by guessing over the convolution tables, modular linear algebra plus
 rational reconstruction in the style of Kauers & Paule, *The Concrete
 Tetrahedron*, ch. 7; ``tests/guess_recurrences.py`` re-derives them, and the
@@ -22,6 +23,11 @@ tests check the unrolled tables against the convolution systems to index
 1000 and against the series solver.  The convolution systems stay as the
 reference route.  All arithmetic is exact integer arithmetic; a division
 that does not come out even raises ArithmeticError.
+
+``FAMILIES`` is the registry of every table this module builds: for each
+CLI name, the discipline, the avoided patterns and the positional constraint
+that the family counts.  ``verify`` compares each registered family with the
+brute-force oracle.
 
 Table conventions: a sequence whose definition requires a first or last
 entry (the "starts with 1" / "ends with n" variants) has value 0 at index 0;
@@ -35,15 +41,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .core import ResourceLimitError, ValidationError
+from .core import Constraint, Discipline, ResourceLimitError, ValidationError
 from .patterns import Pattern
 
+PATTERN_231 = Pattern((2, 3, 1))
+PATTERN_122 = Pattern((1, 2, 2))
 PAIRABLE_WITH_122 = ("132", "213", "231", "123", "312", "321")
 
-#: CLI/table names of every sequence family this module can build.
-FAMILIES = ("p231", "q231", "r231", "rprime231", "pbar231", "qbar231", "q122") + tuple(
-    f"q122,{key}" for key in PAIRABLE_WITH_122
-)
+
+@dataclass(frozen=True)
+class Family:
+    """What a sequence family counts: the words of ``discipline`` that avoid
+    every pattern of ``avoid`` and satisfy ``constraint``."""
+
+    discipline: Discipline
+    avoid: tuple[Pattern, ...]
+    constraint: Constraint = Constraint.NONE
+
+
+_NN, _NC = Discipline.NON_NESTING, Discipline.NON_CROSSING
+
+#: Every sequence family this module can build, by CLI/table name.
+FAMILIES: dict[str, Family] = {
+    "p231": Family(_NN, (PATTERN_231,)),
+    "q231": Family(_NN, (PATTERN_231,), Constraint.FIRST_IS_1),
+    "r231": Family(_NN, (PATTERN_231,), Constraint.LAST_IS_N),
+    "rprime231": Family(_NN, (PATTERN_231,), Constraint.BOTH),
+    "pbar231": Family(_NC, (PATTERN_231,)),
+    "qbar231": Family(_NC, (PATTERN_231,), Constraint.FIRST_IS_1),
+    "q122": Family(_NC, (PATTERN_122,)),
+    **{
+        f"q122,{key}": Family(_NC, (PATTERN_122, Pattern.parse(key)))
+        for key in PAIRABLE_WITH_122
+    },
+}
+
+#: The 231 families continued as the prefix sums a(n) = s(n-1) + a(n-1) of
+#: the family s named here, not by a stored recurrence of their own.
+_PREFIX_SUMS = {"r231": "p231", "rprime231": "q231"}
 
 COMPOSITION_CAP = 20
 
@@ -82,26 +117,6 @@ class SequenceTable:
             yield self.first_index + offset, value
 
 
-@dataclass(frozen=True)
-class NonNesting231System:
-    """The four joint tables counting 231-avoiding non-nesting words:
-    unconstrained, first entry 1, last entry n, and both at once.
-    """
-
-    unconstrained: SequenceTable  # p231
-    first_is_1: SequenceTable  # q231
-    last_is_n: SequenceTable  # r231
-    both: SequenceTable  # rprime231
-
-
-@dataclass(frozen=True)
-class NonCrossing231System:
-    """The two joint tables counting 231-avoiding non-crossing words."""
-
-    unconstrained: SequenceTable  # pbar231
-    first_is_1: SequenceTable  # qbar231
-
-
 def catalan(n: int) -> int:
     """C(2n, n) / (n + 1), the number of matchings of either discipline."""
     if n < 0:
@@ -124,7 +139,11 @@ def _conv(a: list[int], b: list[int], m: int) -> int:
     return sum(a[i] * b[m - i] for i in range(m + 1))
 
 
-def _nonnesting_convolution(limit: int) -> NonNesting231System:
+def _by_name(**values: list[int]) -> dict[str, SequenceTable]:
+    return {name: SequenceTable(name, tuple(v)) for name, v in values.items()}
+
+
+def _nonnesting_convolution(limit: int) -> dict[str, SequenceTable]:
     """Tables to index ``limit`` for 231-avoiding non-nesting words, by the
     convolution system alone: the reference route.
 
@@ -165,15 +184,10 @@ def _nonnesting_convolution(limit: int) -> NonNesting231System:
             + _conv(p, p, m)
         )
         r[n] = p[n - 1] + r[n - 1]
-    return NonNesting231System(
-        unconstrained=SequenceTable("p231", tuple(p)),
-        first_is_1=SequenceTable("q231", tuple(q)),
-        last_is_n=SequenceTable("r231", tuple(r)),
-        both=SequenceTable("rprime231", tuple(rp)),
-    )
+    return _by_name(p231=p, q231=q, r231=r, rprime231=rp)
 
 
-def _noncrossing_convolution(limit: int) -> NonCrossing231System:
+def _noncrossing_convolution(limit: int) -> dict[str, SequenceTable]:
     """Tables to index ``limit`` for 231-avoiding non-crossing words, by the
     convolution system alone: the reference route.
 
@@ -199,10 +213,7 @@ def _noncrossing_convolution(limit: int) -> NonCrossing231System:
         # the i = n term of p q is p[n] * q[0] = 0, so p[n] is not needed yet
         p[n] = _conv(square, p, m) - square[m] + _conv(p, q, n)
         square[n] = _conv(p, p, n)
-    return NonCrossing231System(
-        unconstrained=SequenceTable("pbar231", tuple(p)),
-        first_is_1=SequenceTable("qbar231", tuple(q)),
-    )
+    return _by_name(pbar231=p, qbar231=q)
 
 
 #: Linear recurrences with polynomial coefficients: entry c[k][j] of a family
@@ -340,11 +351,12 @@ P_RECURSIVE: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-#: The last index each convolution seed supplies: the largest order among its
-#: recurrences, less one, so every recurrence starts from a full window.
+#: The last index each convolution seed supplies: the largest order among the
+#: recurrences of its discipline, less one, so every recurrence starts from a
+#: full window.
 _NONNESTING_SEED, _NONCROSSING_SEED = (
-    max(len(P_RECURSIVE[family]) - 2 for family in families)
-    for families in (("p231", "q231"), ("pbar231", "qbar231"))
+    max(len(c) - 2 for name, c in P_RECURSIVE.items() if FAMILIES[name].discipline is disc)
+    for disc in (_NN, _NC)
 )
 
 
@@ -394,8 +406,20 @@ def _summed(seed: SequenceTable, summands: SequenceTable) -> SequenceTable:
     return SequenceTable(seed.name, tuple(values))
 
 
-def nonnesting_231_system(limit: int) -> NonNesting231System:
-    """Tables to index ``limit`` for 231-avoiding non-nesting words.
+def _continued(seed: dict[str, SequenceTable], limit: int) -> dict[str, SequenceTable]:
+    """Every table of a convolution seed continued to index ``limit``: by its
+    stored recurrence, or by the prefix sums of its ``_PREFIX_SUMS`` family."""
+    tables = {name: _unrolled(t, limit) for name, t in seed.items() if name in P_RECURSIVE}
+    return tables | {
+        name: _summed(t, tables[_PREFIX_SUMS[name]])
+        for name, t in seed.items()
+        if name in _PREFIX_SUMS
+    }
+
+
+def nonnesting_231_system(limit: int) -> dict[str, SequenceTable]:
+    """The tables p231, q231, r231 and rprime231 to index ``limit``, counting
+    231-avoiding non-nesting words, by name.
 
     The convolution system supplies the first terms, p and q continue by
     their stored recurrences, and r, r' by their prefix sums
@@ -403,48 +427,31 @@ def nonnesting_231_system(limit: int) -> NonNesting231System:
     """
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
-    seed = _nonnesting_convolution(min(limit, _NONNESTING_SEED))
-    p = _unrolled(seed.unconstrained, limit)
-    q = _unrolled(seed.first_is_1, limit)
-    return NonNesting231System(p, q, _summed(seed.last_is_n, p), _summed(seed.both, q))
+    return _continued(_nonnesting_convolution(min(limit, _NONNESTING_SEED)), limit)
 
 
-def noncrossing_231_system(limit: int) -> NonCrossing231System:
-    """Tables to index ``limit`` for 231-avoiding non-crossing words: the
-    convolution system supplies the first terms, and both tables continue
-    by their stored recurrences."""
+def noncrossing_231_system(limit: int) -> dict[str, SequenceTable]:
+    """The tables pbar231 and qbar231 to index ``limit``, counting
+    231-avoiding non-crossing words, by name: the convolution system
+    supplies the first terms, and both tables continue by their stored
+    recurrences."""
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
-    seed = _noncrossing_convolution(min(limit, _NONCROSSING_SEED))
-    return NonCrossing231System(
-        _unrolled(seed.unconstrained, limit), _unrolled(seed.first_is_1, limit)
-    )
-
-
-#: Each 231 family: the system field holding it, and the field whose prefix
-#: sums continue it (None: its own stored recurrence does).
-_FIELDS_231 = {
-    "p231": ("unconstrained", None),
-    "q231": ("first_is_1", None),
-    "r231": ("last_is_n", "unconstrained"),
-    "rprime231": ("both", "first_is_1"),
-    "pbar231": ("unconstrained", None),
-    "qbar231": ("first_is_1", None),
-}
+    return _continued(_noncrossing_convolution(min(limit, _NONCROSSING_SEED)), limit)
 
 
 def _table_231(family: str, limit: int) -> SequenceTable:
     """One 231 table to index ``limit``, unrolling only the recurrence it
     needs.  The seed comes from the system at the handover limit, where the
     system unrolls nothing and the convolution route supplies every term."""
-    if family in ("pbar231", "qbar231"):
+    if FAMILIES[family].discipline is _NC:
         seed = noncrossing_231_system(min(limit, _NONCROSSING_SEED))
     else:
         seed = nonnesting_231_system(min(limit, _NONNESTING_SEED))
-    field, summands = _FIELDS_231[family]
+    summands = _PREFIX_SUMS.get(family)
     if summands is None:
-        return _unrolled(getattr(seed, field), limit)
-    return _summed(getattr(seed, field), _unrolled(getattr(seed, summands), limit))
+        return _unrolled(seed[family], limit)
+    return _summed(seed[family], _unrolled(seed[summands], limit))
 
 
 def _compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -468,7 +475,7 @@ def qbar_via_compositions(limit: int) -> SequenceTable:
         raise ResourceLimitError(
             f"composition sum is exponential; limit {limit} exceeds cap {COMPOSITION_CAP}"
         )
-    p = noncrossing_231_system(max(limit, 1)).unconstrained
+    p = noncrossing_231_system(max(limit, 1))["pbar231"]
     values = [0] * (limit + 1)
     for n in range(1, limit + 1):
         total = 0
@@ -517,15 +524,13 @@ def closed_form_122(sigma: Pattern | None, limit: int) -> SequenceTable:
 
 
 def family_table(family: str, limit: int) -> SequenceTable:
-    """Build the table for a named sequence family up to index ``limit``.
-
-    Families: p231, q231, r231, rprime231 (non-nesting), pbar231, qbar231
-    (non-crossing), and q122 optionally paired as "q122,SIGMA".
+    """Build the table for a family of ``FAMILIES`` up to index ``limit``:
+    a 231 family from its system's seed and stored recurrence, a 122 family
+    from ``closed_form_122``.  Any other name raises ValidationError.
     """
-    if family in _FIELDS_231:
+    if family not in FAMILIES:
+        raise ValidationError(f"unknown sequence family {family!r}; known: {tuple(FAMILIES)}")
+    first, *second = FAMILIES[family].avoid
+    if first == PATTERN_231:
         return _table_231(family, limit)
-    if family == "q122":
-        return closed_form_122(None, limit)
-    if family.startswith("q122,"):
-        return closed_form_122(Pattern.parse(family.split(",", 1)[1]), limit)
-    raise ValidationError(f"unknown sequence family {family!r}; known: {FAMILIES}")
+    return closed_form_122(second[0] if second else None, limit)

@@ -14,31 +14,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from itertools import groupby
+from typing import Iterable, Mapping
 
-from .core import Discipline, Word
-from .enumeration import Constraint, count_by_constraint, labeled_words
-from .patterns import Pattern, contains
+from .core import Constraint, Discipline, Word
+from .enumeration import count_by_constraint, labeled_words
+from .patterns import contains
 from .recurrences import (
-    PAIRABLE_WITH_122,
-    NonCrossing231System,
-    NonNesting231System,
+    FAMILIES,
+    PATTERN_122,
+    PATTERN_231,
+    SequenceTable,
     catalan,
-    closed_form_122,
+    family_table,
     nonnesting_231_system,
     noncrossing_231_system,
     qbar_via_compositions,
 )
 from .series import builtin_equation, residual, solve_algebraic
-
-PATTERN_231 = Pattern((2, 3, 1))
-PATTERN_122 = Pattern((1, 2, 2))
-SECOND_PATTERNS_122 = {key: Pattern.parse(key) for key in PAIRABLE_WITH_122}
-#: The 122 family and its refinements, keyed as in ``closed_form_122`` names.
-FAMILIES_122 = {
-    "122": (PATTERN_122,),
-    **{f"122,{key}": (PATTERN_122, sigma) for key, sigma in SECOND_PATTERNS_122.items()},
-}
 
 
 class Level(Enum):
@@ -143,39 +136,32 @@ def _first_mismatch(
 
 
 def run_verification(
-    level: Level = Level.QUICK,
-    nonnesting: NonNesting231System | None = None,
-    noncrossing: NonCrossing231System | None = None,
+    level: Level = Level.QUICK, tables: Mapping[str, SequenceTable] = {}
 ) -> list[CheckResult]:
     """Run every cross-check at the given level and report one result each.
 
-    ``nonnesting`` / ``noncrossing`` default to freshly computed systems;
-    passing tables in lets tests confirm that corrupt data is caught.
+    Every family of ``FAMILIES`` is compared with the brute-force oracle:
+    the 231 tables of each discipline in one check each, the 122 closed
+    forms in a third.  ``tables`` replaces the computed table of any family
+    by name; passing tables in lets tests confirm that corrupt data is
+    caught.
     """
     max_n = 4 if level is Level.QUICK else 6
     order = 20 if level is Level.QUICK else 60
-    nn = nonnesting if nonnesting is not None else nonnesting_231_system(order)
-    nc = noncrossing if noncrossing is not None else noncrossing_231_system(order)
+    systems = nonnesting_231_system(order) | noncrossing_231_system(order)
+    closed = {name: family_table(name, max_n) for name in FAMILIES.keys() - systems.keys()}
+    tables = systems | closed | dict(tables)
     results: list[CheckResult] = []
 
     def record(name: str, failure: str) -> None:
         results.append(CheckResult(name, not failure, failure))
 
     # One enumeration pass per discipline and size feeds every oracle check:
-    # all words, the 231-avoiders, and (non-crossing) the 122 families.
-    counted = {
-        disc: [
-            count_by_constraint(
-                n,
-                disc,
-                {"all": (), "231": (PATTERN_231,)}
-                | (FAMILIES_122 if disc is Discipline.NON_CROSSING else {}),
-                cap=max_n,
-            )
-            for n in range(max_n + 1)
-        ]
-        for disc in Discipline
-    }
+    # all words, keyed (), and each distinct pattern set of the discipline.
+    counted = {}
+    for disc in Discipline:
+        sets = {(): ()} | {f.avoid: f.avoid for f in FAMILIES.values() if f.discipline is disc}
+        counted[disc] = [count_by_constraint(n, disc, sets, cap=max_n) for n in range(max_n + 1)]
 
     # Unfiltered counts are n! * C(n) for both disciplines.
     for disc in Discipline:
@@ -183,55 +169,38 @@ def run_verification(
             (
                 f"n={n}",
                 math.factorial(n) * catalan(n),
-                counted[disc][n]["all"][Constraint.NONE],
+                counted[disc][n][()][Constraint.NONE],
             )
             for n in range(max_n + 1)
         )
         record(f"baseline count n!*C(n), {disc.value}, n<={max_n}", failure)
 
-    # Brute force vs the recurrence tables: all four constraints for
-    # non-nesting, the two that exist for non-crossing.
-    for disc, tables in (
-        (
-            Discipline.NON_NESTING,
-            {
-                Constraint.NONE: nn.unconstrained,
-                Constraint.FIRST_IS_1: nn.first_is_1,
-                Constraint.LAST_IS_N: nn.last_is_n,
-                Constraint.BOTH: nn.both,
-            },
-        ),
-        (
-            Discipline.NON_CROSSING,
-            {Constraint.NONE: nc.unconstrained, Constraint.FIRST_IS_1: nc.first_is_1},
-        ),
-    ):
-        failure = _first_mismatch(
-            (f"n={n}, family={table.name}", table[n], counted[disc][n]["231"][constraint])
-            for n in range(max_n + 1)
-            for constraint, table in tables.items()
-        )
-        record(f"oracle vs {disc.value} 231 tables, n<={max_n}", failure)
+    # Brute force vs every family's table, one check per discipline's 231
+    # tables and one for the 122 closed forms, n-major within a check.
+    def oracle_check(name: str) -> str:
+        f = FAMILIES[name]
+        if name in systems:
+            return f"oracle vs {f.discipline.value} {f.avoid[0]} tables, n<={max_n}"
+        return f"oracle vs {f.avoid[0]} closed forms, n<={max_n}"
 
-    # Brute force vs the library's 122 closed forms.
-    closed = {"122": closed_form_122(None, max_n)}
-    for key, sigma in SECOND_PATTERNS_122.items():
-        closed[f"122,{key}"] = closed_form_122(sigma, max_n)
-    failure = _first_mismatch(
-        (
-            f"n={n}, family=q{key}",
-            closed[key][n],
-            counted[Discipline.NON_CROSSING][n][key][Constraint.NONE],
+    def oracle(name: str, n: int) -> int:
+        f = FAMILIES[name]
+        return counted[f.discipline][n][f.avoid][f.constraint]
+
+    for check, group in groupby(FAMILIES, oracle_check):
+        names = list(group)
+        failure = _first_mismatch(
+            (f"n={n}, family={name}", tables[name][n], oracle(name, n))
+            for n in range(max_n + 1)
+            for name in names
+            if n >= tables[name].first_index
         )
-        for n in range(1, max_n + 1)
-        for key in FAMILIES_122
-    )
-    record(f"oracle vs 122 closed forms, n<={max_n}", failure)
+        record(check, failure)
 
     # Series solver vs the recurrence tables.
     for disc, table in (
-        (Discipline.NON_NESTING, nn.unconstrained),
-        (Discipline.NON_CROSSING, nc.unconstrained),
+        (Discipline.NON_NESTING, tables["p231"]),
+        (Discipline.NON_CROSSING, tables["pbar231"]),
     ):
         solved = solve_algebraic(builtin_equation(disc), 1, order)
         failure = _first_mismatch(
@@ -246,17 +215,19 @@ def run_verification(
 
     # Tail identities: differencing the constrained tables recovers the
     # unconstrained ones (last entry n strips to index n-1).
+    p, q, r, rprime = (tables[name] for name in ("p231", "q231", "r231", "rprime231"))
+
     def tail_rows():
-        for n in range(1, min(order, nn.unconstrained.last_index) + 1):
+        for n in range(1, min(order, p.last_index) + 1):
             yield (
                 f"r231[{n}] - r231[{n - 1}] != p231[{n - 1}]",
-                nn.unconstrained[n - 1],
-                nn.last_is_n[n] - nn.last_is_n[n - 1],
+                p[n - 1],
+                r[n] - r[n - 1],
             )
             yield (
                 f"rprime231[{n}] - rprime231[{n - 1}] != q231[{n - 1}]",
-                nn.first_is_1[n - 1] + (1 if n == 1 else 0),
-                nn.both[n] - nn.both[n - 1],
+                q[n - 1] + (1 if n == 1 else 0),
+                rprime[n] - rprime[n - 1],
             )
 
     failure = _first_mismatch(tail_rows(), values=False)
@@ -266,7 +237,7 @@ def run_verification(
     comp_limit = 8 if level is Level.QUICK else 12
     comp = qbar_via_compositions(comp_limit)
     failure = _first_mismatch(
-        (f"n={n}", nc.first_is_1[n], comp[n]) for n in range(comp_limit + 1)
+        (f"n={n}", tables["qbar231"][n], comp[n]) for n in range(comp_limit + 1)
     )
     record(f"composition sum vs qbar231, n<={comp_limit}", failure)
 

@@ -176,14 +176,8 @@ def reference_tables() -> dict[str, tuple[int, ...]]:
     """Each family of SHAPES from the convolution systems, as long as its
     equations need."""
     needed = max((r + 1) * (d + 1) - 1 + SURPLUS + r for r, d in SHAPES.values())
-    nn = _nonnesting_convolution(needed)
-    nc = _noncrossing_convolution(needed)
-    return {
-        "p231": nn.unconstrained.values,
-        "q231": nn.first_is_1.values,
-        "pbar231": nc.unconstrained.values,
-        "qbar231": nc.first_is_1.values,
-    }
+    tables = _nonnesting_convolution(needed) | _noncrossing_convolution(needed)
+    return {family: tables[family].values for family in SHAPES}
 
 
 def derive_all() -> dict[str, tuple[tuple[int, ...], ...]]:

@@ -22,7 +22,6 @@ from ncnperms.recurrences import (
 )
 from ncnperms.series import builtin_equation, residual, solve_algebraic
 from ncnperms.verify import (
-    FAMILIES_122,
     decreasing_labeling_is_unique_122_avoider,
     window_extremes_ok,
     window_traffic_ok,
@@ -30,6 +29,17 @@ from ncnperms.verify import (
 from ncnperms.enumeration import labeled_words
 
 P231 = Pattern.parse("231")
+P122 = Pattern.parse("122")
+#: The 122 family and its refinements by a second pattern.
+FAMILIES_122 = {
+    "122": (P122,),
+    "122,132": (P122, Pattern.parse("132")),
+    "122,213": (P122, Pattern.parse("213")),
+    "122,231": (P122, Pattern.parse("231")),
+    "122,123": (P122, Pattern.parse("123")),
+    "122,312": (P122, Pattern.parse("312")),
+    "122,321": (P122, Pattern.parse("321")),
+}
 
 P231_HEAD = (1, 1, 4, 17, 77, 367, 1815, 9233, 48014, 254123, 1364491)
 PBAR231_HEAD = (1, 1, 4, 19, 102, 590, 3588, 22617, 146460, 968520)
@@ -52,7 +62,7 @@ def criterion(number: int, description: str, budget_seconds: float | None = None
 
 def test_criterion_01_nonnesting_sequence_both_routes():
     with criterion(1, "non-nesting 231 counts, recurrence and series", 1.0):
-        assert nonnesting_231_system(10).unconstrained.values == P231_HEAD
+        assert nonnesting_231_system(10)["p231"].values == P231_HEAD
         solved = solve_algebraic(builtin_equation(Discipline.NON_NESTING), 1, 10)
         assert tuple(c.numerator for c in solved.coefficients) == P231_HEAD
         assert all(c.denominator == 1 for c in solved.coefficients)
@@ -60,7 +70,7 @@ def test_criterion_01_nonnesting_sequence_both_routes():
 
 def test_criterion_02_noncrossing_sequence_both_routes():
     with criterion(2, "non-crossing 231 counts, recurrence and series", 1.0):
-        assert noncrossing_231_system(9).unconstrained.values == PBAR231_HEAD
+        assert noncrossing_231_system(9)["pbar231"].values == PBAR231_HEAD
         solved = solve_algebraic(builtin_equation(Discipline.NON_CROSSING), 1, 9)
         assert tuple(c.numerator for c in solved.coefficients) == PBAR231_HEAD
         assert all(c.denominator == 1 for c in solved.coefficients)
@@ -77,13 +87,13 @@ def test_criterion_03_oracle_equivalence_up_to_6():
                 baseline = count_by_constraint(n, disc, ())
                 assert baseline[Constraint.NONE] == math.factorial(n) * catalan(n)
             counts = count_by_constraint(n, Discipline.NON_NESTING, (P231,))
-            assert counts[Constraint.NONE] == nn.unconstrained[n]
-            assert counts[Constraint.FIRST_IS_1] == nn.first_is_1[n]
-            assert counts[Constraint.LAST_IS_N] == nn.last_is_n[n]
-            assert counts[Constraint.BOTH] == nn.both[n]
+            assert counts[Constraint.NONE] == nn["p231"][n]
+            assert counts[Constraint.FIRST_IS_1] == nn["q231"][n]
+            assert counts[Constraint.LAST_IS_N] == nn["r231"][n]
+            assert counts[Constraint.BOTH] == nn["rprime231"][n]
             counts = count_by_constraint(n, Discipline.NON_CROSSING, (P231,))
-            assert counts[Constraint.NONE] == nc.unconstrained[n]
-            assert counts[Constraint.FIRST_IS_1] == nc.first_is_1[n]
+            assert counts[Constraint.NONE] == nc["pbar231"][n]
+            assert counts[Constraint.FIRST_IS_1] == nc["qbar231"][n]
 
 
 def test_criterion_04_closed_forms_up_to_6():

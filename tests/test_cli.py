@@ -1,4 +1,5 @@
 import argparse
+import ast
 import errno
 import json
 import os
@@ -61,10 +62,12 @@ def test_count_at_the_default_cap(capsys):
     assert code == EXIT_OK and out.strip() == "22617"
 
 
-def test_count_negative_cap_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "count", "--non-nesting", "-n", "0", "--cap", "-1")
-    assert code == EXIT_USAGE and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "cap" in err
+def test_count_cap_is_not_an_option(capsys):
+    # --force lifts the cap; a value for it is a usage error
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--non-nesting", "-n", "0", "--cap", "8"])
+    assert info.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --cap 8" in capsys.readouterr().err
 
 
 def test_count_requires_discipline(capsys):
@@ -85,9 +88,13 @@ def test_seq_examples(capsys):
 
 
 def test_seq_unknown_family(capsys):
-    code, _, err = run(capsys, "seq", "z999", "-N", "5")
-    assert code == EXIT_USAGE
-    assert "unknown sequence family" in err
+    # a name outside FAMILIES gets one error line, also when it looks like
+    # a 122 pairing or differs from a family only in case
+    for family in ("z999", "q122,212", "q122,", "Q231"):
+        code, out, err = run(capsys, "seq", family, "-N", "5")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: unknown sequence family {family!r}; known: ")
+        assert err.count("\n") == 1
 
 
 def test_seq_closed_form_needs_positive_limit(capsys):
@@ -395,3 +402,24 @@ def test_readme_cli_examples(capsys):
         assert code == EXIT_OK, (line, err)
         if "->" in comment:
             assert out.strip() == comment.split("->", 1)[1].strip(), line
+
+
+def test_readme_library_example():
+    # the README's Library block runs as written; each expression statement
+    # with a trailing "# value" comment evaluates to an object of that repr
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace: dict = {}
+    checked = 0
+    for statement in ast.parse(block).body:
+        source = ast.get_source_segment(block, statement)
+        if not isinstance(statement, ast.Expr):
+            exec(source, namespace)
+            continue
+        result = eval(source, namespace)
+        comment = lines[statement.end_lineno - 1][statement.end_col_offset :].strip()
+        if comment.startswith("#"):
+            assert repr(result) == comment[1:].strip(), source
+            checked += 1
+    assert checked >= 4

@@ -52,78 +52,73 @@ def test_sequence_table_basics():
 
 def test_nonnesting_system_matches_published_expansion():
     system = nonnesting_231_system(10)
-    assert system.unconstrained.values == P231_HEAD
-    assert system.unconstrained.name == "p231"
+    assert system["p231"].values == P231_HEAD
+    assert system["p231"].name == "p231"
 
 
 def test_nonnesting_system_constrained_tables():
     system = nonnesting_231_system(7)
-    assert system.first_is_1.values == Q231_HEAD
-    assert system.last_is_n.values == R231_HEAD
-    assert system.both.values == RPRIME231_HEAD
+    assert system["q231"].values == Q231_HEAD
+    assert system["r231"].values == R231_HEAD
+    assert system["rprime231"].values == RPRIME231_HEAD
 
 
 def test_noncrossing_system_matches_published_expansion():
     system = noncrossing_231_system(9)
-    assert system.unconstrained.values == PBAR231_HEAD
-    assert system.first_is_1.values[:8] == QBAR231_HEAD
+    assert system["pbar231"].values == PBAR231_HEAD
+    assert system["qbar231"].values[:8] == QBAR231_HEAD
 
 
 def test_base_cases():
     system = nonnesting_231_system(2)
-    assert system.last_is_n[2] == 2  # p(1) + r(1)
-    assert system.first_is_1[2] == 2
-    assert system.both[2] == 2  # q(1) + rprime(1)
-    assert noncrossing_231_system(2).first_is_1.values == (0, 1, 2)
+    assert system["r231"][2] == 2  # p(1) + r(1)
+    assert system["q231"][2] == 2
+    assert system["rprime231"][2] == 2  # q(1) + rprime(1)
+    assert noncrossing_231_system(2)["qbar231"].values == (0, 1, 2)
 
 
-def _all_tables(nonnesting, noncrossing):
-    return (
-        nonnesting.unconstrained,
-        nonnesting.first_is_1,
-        nonnesting.last_is_n,
-        nonnesting.both,
-        noncrossing.unconstrained,
-        noncrossing.first_is_1,
-    )
+def _all_tables(limit):
+    return nonnesting_231_system(limit) | noncrossing_231_system(limit)
+
+
+def _all_references(limit):
+    return _nonnesting_convolution(limit) | _noncrossing_convolution(limit)
+
+
+def test_systems_key_every_table_by_its_name():
+    tables = _all_tables(3)
+    assert list(tables) == ["p231", "q231", "r231", "rprime231", "pbar231", "qbar231"]
+    assert all(table.name == name for name, table in tables.items())
 
 
 def test_recurrences_match_convolution_to_certified_range():
     # TABLE_CAP = 1000 is the range this certifies
-    unrolled = _all_tables(nonnesting_231_system(1000), noncrossing_231_system(1000))
-    reference = _all_tables(_nonnesting_convolution(1000), _noncrossing_convolution(1000))
-    for table, expected in zip(unrolled, reference):
-        assert table.name == expected.name
-        assert table.values == expected.values
+    assert _all_tables(1000) == _all_references(1000)
 
 
 def test_recurrences_match_convolution_across_the_handover():
     largest_order = max(len(recurrence) for recurrence in P_RECURSIVE.values()) - 1
     for limit in range(largest_order + 3):
-        unrolled = _all_tables(nonnesting_231_system(limit), noncrossing_231_system(limit))
-        reference = _all_tables(
-            _nonnesting_convolution(limit), _noncrossing_convolution(limit)
-        )
-        assert unrolled == reference, limit
+        assert _all_tables(limit) == _all_references(limit), limit
 
 
-_SYSTEM_FIELDS = {
-    "p231": (nonnesting_231_system, "unconstrained"),
-    "q231": (nonnesting_231_system, "first_is_1"),
-    "r231": (nonnesting_231_system, "last_is_n"),
-    "rprime231": (nonnesting_231_system, "both"),
-    "pbar231": (noncrossing_231_system, "unconstrained"),
-    "qbar231": (noncrossing_231_system, "first_is_1"),
+_SYSTEMS = {
+    "p231": nonnesting_231_system,
+    "q231": nonnesting_231_system,
+    "r231": nonnesting_231_system,
+    "rprime231": nonnesting_231_system,
+    "pbar231": noncrossing_231_system,
+    "qbar231": noncrossing_231_system,
 }
 
 
-@pytest.mark.parametrize("family", sorted(_SYSTEM_FIELDS))
+@pytest.mark.parametrize("family", sorted(_SYSTEMS))
 def test_family_table_builds_one_family_as_the_system_does(family):
     # family_table unrolls only the recurrence its family needs; every limit
     # across the handover (orders 10 and 15) and the certified limit agree
-    system, field = _SYSTEM_FIELDS[family]
+    system = _SYSTEMS[family]
     for limit in [*range(18), 1000]:
-        assert family_table(family, limit) == getattr(system(limit), field), limit
+        assert family_table(family, limit) == system(limit)[family], limit
 
 
 def _bump_recurrence(monkeypatch, family):
@@ -192,23 +187,18 @@ def test_tail_difference_identities():
     # stripping a final max entry: r(n) - r(n-1) = p(n-1), and with the
     # first entry pinned, rprime(n) - rprime(n-1) = q(n-1) for n >= 2
     system = nonnesting_231_system(60)
+    p, q, r, rprime = (system[name] for name in ("p231", "q231", "r231", "rprime231"))
     for n in range(1, 61):
-        assert (
-            system.last_is_n[n] - system.last_is_n[n - 1]
-            == system.unconstrained[n - 1]
-        )
+        assert r[n] - r[n - 1] == p[n - 1]
     for n in range(2, 61):
-        assert system.both[n] - system.both[n - 1] == system.first_is_1[n - 1]
-    assert system.both[1] == 1
+        assert rprime[n] - rprime[n - 1] == q[n - 1]
+    assert rprime[1] == 1
 
 
 def test_tables_are_nonnegative_and_increasing_eventually():
-    system = nonnesting_231_system(100)
-    assert all(v >= 0 for v in system.unconstrained.values)
-    assert all(
-        a < b
-        for a, b in zip(system.unconstrained.values[1:], system.unconstrained.values[2:])
-    )
+    values = nonnesting_231_system(100)["p231"].values
+    assert all(v >= 0 for v in values)
+    assert all(a < b for a, b in zip(values[1:], values[2:]))
 
 
 @pytest.mark.parametrize(
@@ -221,7 +211,7 @@ def test_qbar_via_compositions_small(n, expected):
 
 def test_qbar_via_compositions_agrees_with_convolution():
     by_composition = qbar_via_compositions(12)
-    by_convolution = noncrossing_231_system(12).first_is_1
+    by_convolution = noncrossing_231_system(12)["qbar231"]
     assert by_composition.values == by_convolution.values
 
 
@@ -236,13 +226,13 @@ def test_oracle_equivalence_all_families_small_n():
     forbidden = (Pattern.parse("231"),)
     for n in range(5):
         counts = count_by_constraint(n, Discipline.NON_NESTING, forbidden)
-        assert counts[Constraint.NONE] == nn.unconstrained[n]
-        assert counts[Constraint.FIRST_IS_1] == nn.first_is_1[n]
-        assert counts[Constraint.LAST_IS_N] == nn.last_is_n[n]
-        assert counts[Constraint.BOTH] == nn.both[n]
+        assert counts[Constraint.NONE] == nn["p231"][n]
+        assert counts[Constraint.FIRST_IS_1] == nn["q231"][n]
+        assert counts[Constraint.LAST_IS_N] == nn["r231"][n]
+        assert counts[Constraint.BOTH] == nn["rprime231"][n]
         counts = count_by_constraint(n, Discipline.NON_CROSSING, forbidden)
-        assert counts[Constraint.NONE] == nc.unconstrained[n]
-        assert counts[Constraint.FIRST_IS_1] == nc.first_is_1[n]
+        assert counts[Constraint.NONE] == nc["pbar231"][n]
+        assert counts[Constraint.FIRST_IS_1] == nc["qbar231"][n]
 
 
 def test_catalan():

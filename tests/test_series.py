@@ -87,8 +87,8 @@ def test_residual_detects_non_solutions():
 
 
 def test_solver_agrees_with_recurrences_to_order_600():
-    nn = nonnesting_231_system(600).unconstrained
-    nc = noncrossing_231_system(600).unconstrained
+    nn = nonnesting_231_system(600)["p231"]
+    nc = noncrossing_231_system(600)["pbar231"]
     cubic = solve_algebraic(builtin_equation(Discipline.NON_NESTING), 1, 600)
     quartic = solve_algebraic(builtin_equation(Discipline.NON_CROSSING), 1, 600)
     for n in range(601):
@@ -122,8 +122,8 @@ def test_solver_output_starts_at_y0_with_zero_residual():
 def test_solver_agrees_with_recurrences_across_orders():
     # Newton fixes 1, 3, 7, ..., 127 coefficients: order 0 takes no step, and
     # every order from 0 to 130 covers each way the last step can be cut short
-    nn = nonnesting_231_system(130).unconstrained
-    nc = noncrossing_231_system(130).unconstrained
+    nn = nonnesting_231_system(130)["p231"]
+    nc = noncrossing_231_system(130)["pbar231"]
     for order in range(131):
         for disc, table in ((Discipline.NON_NESTING, nn), (Discipline.NON_CROSSING, nc)):
             solved = solve_algebraic(builtin_equation(disc), 1, order)

@@ -1,18 +1,9 @@
-import dataclasses
-
 import pytest
 
 from ncnperms.core import Discipline, Word
 from ncnperms.enumeration import Constraint, count_by_constraint, labeled_words
-from ncnperms.recurrences import (
-    NonNesting231System,
-    SequenceTable,
-    closed_form_122,
-    noncrossing_231_system,
-    nonnesting_231_system,
-)
+from ncnperms.recurrences import FAMILIES, PATTERN_122, SequenceTable, family_table
 from ncnperms.verify import (
-    FAMILIES_122,
     Level,
     decreasing_labeling_is_unique_122_avoider,
     run_verification,
@@ -35,67 +26,73 @@ def test_full_verification_passes():
     assert any("122-avoiding labeling" in name for name in names)
 
 
-def test_corrupted_table_is_caught():
-    good = nonnesting_231_system(20)
-    values = list(good.unconstrained.values)
-    values[3] += 1
-    corrupted = NonNesting231System(
-        unconstrained=SequenceTable("p231", tuple(values)),
-        first_is_1=good.first_is_1,
-        last_is_n=good.last_is_n,
-        both=good.both,
-    )
-    results = run_verification(Level.QUICK, nonnesting=corrupted)
-    failed = next(r for r in results if not r.passed)
-    assert "n=3" in failed.detail and "p231" in failed.detail
-
-
 def _bump(table: SequenceTable, index: int) -> SequenceTable:
     values = list(table.values)
     values[index - table.first_index] += 1
     return SequenceTable(table.name, tuple(values), first_index=table.first_index)
 
 
+def test_corrupted_table_is_caught():
+    corrupted = _bump(family_table("p231", 20), 3)
+    results = run_verification(Level.QUICK, tables={"p231": corrupted})
+    failed = next(r for r in results if not r.passed)
+    assert "n=3" in failed.detail and "p231" in failed.detail
+
+
 ORACLE_NN = "oracle vs non-nesting 231 tables, n<=4"
 ORACLE_NC = "oracle vs non-crossing 231 tables, n<=4"
+ORACLE_122 = "oracle vs 122 closed forms, n<=4"
 TAIL = "tail-difference identities, order 20"
 
+#: For each family: the index its table is bumped at, and every failed
+#: (check, detail) that the bump must cause.
+CORRUPTIONS = {
+    "p231": (3, [
+        (ORACLE_NN, "n=3, family=p231, expected 18, got 17"),
+        ("series solver vs p231, order 20", "n=3, family=p231, expected 18, got 17"),
+        (TAIL, "r231[4] - r231[3] != p231[3]"),
+    ]),
+    "q231": (3, [
+        (ORACLE_NN, "n=3, family=q231, expected 10, got 9"),
+        (TAIL, "rprime231[4] - rprime231[3] != q231[3]"),
+    ]),
+    "r231": (3, [
+        (ORACLE_NN, "n=3, family=r231, expected 7, got 6"),
+        (TAIL, "r231[3] - r231[2] != p231[2]"),
+    ]),
+    "rprime231": (3, [
+        (ORACLE_NN, "n=3, family=rprime231, expected 5, got 4"),
+        (TAIL, "rprime231[3] - rprime231[2] != q231[2]"),
+    ]),
+    "pbar231": (3, [
+        (ORACLE_NC, "n=3, family=pbar231, expected 20, got 19"),
+        ("series solver vs pbar231, order 20", "n=3, family=pbar231, expected 20, got 19"),
+    ]),
+    "qbar231": (3, [
+        (ORACLE_NC, "n=3, family=qbar231, expected 8, got 7"),
+        ("composition sum vs qbar231, n<=8", "n=3, expected 8, got 7"),
+    ]),
+    # q122 at the last index the quick oracle reaches
+    "q122": (4, [(ORACLE_122, "n=4, family=q122, expected 15, got 14")]),
+    "q122,132": (3, [(ORACLE_122, "n=3, family=q122,132, expected 6, got 5")]),
+    "q122,213": (3, [(ORACLE_122, "n=3, family=q122,213, expected 4, got 3")]),
+    "q122,231": (3, [(ORACLE_122, "n=3, family=q122,231, expected 5, got 4")]),
+    "q122,123": (3, [(ORACLE_122, "n=3, family=q122,123, expected 5, got 4")]),
+    "q122,312": (3, [(ORACLE_122, "n=3, family=q122,312, expected 4, got 3")]),
+    "q122,321": (3, [(ORACLE_122, "n=3, family=q122,321, expected 1, got 0")]),
+}
 
-@pytest.mark.parametrize(
-    "system, field, failures",
-    [
-        ("nonnesting", "unconstrained", [
-            (ORACLE_NN, "n=3, family=p231, expected 18, got 17"),
-            ("series solver vs p231, order 20", "n=3, family=p231, expected 18, got 17"),
-            (TAIL, "r231[4] - r231[3] != p231[3]"),
-        ]),
-        ("nonnesting", "first_is_1", [
-            (ORACLE_NN, "n=3, family=q231, expected 10, got 9"),
-            (TAIL, "rprime231[4] - rprime231[3] != q231[3]"),
-        ]),
-        ("nonnesting", "last_is_n", [
-            (ORACLE_NN, "n=3, family=r231, expected 7, got 6"),
-            (TAIL, "r231[3] - r231[2] != p231[2]"),
-        ]),
-        ("nonnesting", "both", [
-            (ORACLE_NN, "n=3, family=rprime231, expected 5, got 4"),
-            (TAIL, "rprime231[3] - rprime231[2] != q231[2]"),
-        ]),
-        ("noncrossing", "unconstrained", [
-            (ORACLE_NC, "n=3, family=pbar231, expected 20, got 19"),
-            ("series solver vs pbar231, order 20", "n=3, family=pbar231, expected 20, got 19"),
-        ]),
-        ("noncrossing", "first_is_1", [
-            (ORACLE_NC, "n=3, family=qbar231, expected 8, got 7"),
-            ("composition sum vs qbar231, n<=8", "n=3, expected 8, got 7"),
-        ]),
-    ],
-)
-def test_each_corrupted_231_table_fails_with_exact_details(system, field, failures):
-    build = nonnesting_231_system if system == "nonnesting" else noncrossing_231_system
-    good = build(20)
-    corrupted = dataclasses.replace(good, **{field: _bump(getattr(good, field), 3)})
-    results = run_verification(Level.QUICK, **{system: corrupted})
+
+def test_every_family_has_a_corruption_case():
+    # a family added to the registry must come with the checks that catch it
+    assert list(CORRUPTIONS) == list(FAMILIES)
+
+
+@pytest.mark.parametrize("family", CORRUPTIONS)
+def test_each_corrupted_table_fails_with_exact_details(family):
+    index, failures = CORRUPTIONS[family]
+    corrupted = _bump(family_table(family, 20), index)
+    results = run_verification(Level.QUICK, tables={family: corrupted})
     assert [(r.name, r.detail) for r in results if not r.passed] == failures
 
 
@@ -131,32 +128,14 @@ def test_unique_decreasing_labeling_small():
 
 
 def test_count_122_family_small():
-    counted = count_by_constraint(3, Discipline.NON_CROSSING, FAMILIES_122)
+    families = {name: f.avoid for name, f in FAMILIES.items() if f.avoid[0] == PATTERN_122}
+    counted = count_by_constraint(3, Discipline.NON_CROSSING, families)
     assert {key: counts[Constraint.NONE] for key, counts in counted.items()} == {
-        "122": 5,
-        "122,132": 5,
-        "122,213": 3,
-        "122,231": 4,
-        "122,123": 4,
-        "122,312": 3,
-        "122,321": 0,
+        "q122": 5,
+        "q122,132": 5,
+        "q122,213": 3,
+        "q122,231": 4,
+        "q122,123": 4,
+        "q122,312": 3,
+        "q122,321": 0,
     }
-
-
-def test_closed_forms_are_checked_against_the_library(monkeypatch):
-    cases = [
-        ("213", 3, "n=3, family=q122,213, expected 4, got 3"),
-        ("None", 4, "n=4, family=q122, expected 15, got 14"),
-        ("321", 3, "n=3, family=q122,321, expected 1, got 0"),
-    ]
-    for target, n, detail in cases:
-
-        def corrupted(sigma, limit):
-            table = closed_form_122(sigma, limit)
-            return _bump(table, n) if str(sigma) == target else table
-
-        monkeypatch.setattr("ncnperms.verify.closed_form_122", corrupted, raising=False)
-        failures = [r for r in run_verification(Level.QUICK) if not r.passed]
-        assert [(r.name, r.detail) for r in failures] == [
-            ("oracle vs 122 closed forms, n<=4", detail)
-        ]
