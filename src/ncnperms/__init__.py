@@ -34,7 +34,6 @@ from .recurrences import (
     FAMILIES,
     SequenceTable,
     catalan,
-    closed_form_122,
     family_table,
     fibonacci,
     nonnesting_231_system,
@@ -72,7 +71,6 @@ __all__ = [
     "builtin_equation",
     "builtin_radicand",
     "catalan",
-    "closed_form_122",
     "contains",
     "count_by_constraint",
     "family_table",

@@ -74,6 +74,7 @@ class OutputRecord:
                         "value": r.value,
                         "error_bound": r.error_bound,
                         "provenance": r.provenance.value if r.provenance else None,
+                        "detail": r.detail,
                     }
                     for r in self.results
                 ],
@@ -129,13 +130,17 @@ def _check_printable(values: Iterable[int]) -> None:
         )
 
 
+def _table_provenance(family: str) -> Provenance:
+    """The route that builds ``family``'s table, as its ``FAMILIES`` row names it."""
+    closed = FAMILIES[family].closed_form is not None
+    return Provenance.CLOSED_FORM if closed else Provenance.RECURRENCE
+
+
 def cmd_seq(args: argparse.Namespace) -> OutputRecord:
     _check_table_cap(args.limit, args.force)
     table = family_table(args.family, args.limit)
     _check_printable(table.values)
-    provenance = (
-        Provenance.CLOSED_FORM if args.family.startswith("q122") else Provenance.RECURRENCE
-    )
+    provenance = _table_provenance(args.family)
     # A non-plain format prints the emitter's text without --json, so the
     # per-value results are built only where they are printed: each value is
     # converted to a decimal string once.
@@ -221,7 +226,7 @@ def cmd_ratio(args: argparse.Namespace) -> OutputRecord:
         (
             Result(
                 approx.value,
-                Provenance.RECURRENCE,
+                _table_provenance(args.family),
                 label=f"{args.family}[{args.n}]/{args.family}[{args.n - 1}]",
                 error_bound=approx.error_bound,
             ),
@@ -300,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ratio = sub.add_parser(
         "ratio", parents=[common], help="consecutive-term ratio of a family"
     )
-    p_ratio.add_argument("family", metavar="FAMILY")
+    p_ratio.add_argument("family", metavar="FAMILY", help=f"one of {', '.join(FAMILIES)}")
     p_ratio.add_argument("n", type=int)
     p_ratio.add_argument("--places", type=int, default=5)
     p_ratio.add_argument("--force", action="store_true")

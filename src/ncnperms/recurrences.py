@@ -26,8 +26,10 @@ that does not come out even raises ArithmeticError.
 
 ``FAMILIES`` is the registry of every table this module builds: for each
 CLI name, the discipline, the avoided patterns and the positional constraint
-that the family counts.  ``verify`` compares each registered family with the
-brute-force oracle.
+that the family counts, and its closed form where it has one.  The closed
+form, or its absence, is the one record of the route that builds the table;
+``family_table``, the CLI's provenance tags and ``verify`` all read it there.
+``verify`` compares each registered family with the brute-force oracle.
 
 Table conventions: a sequence whose definition requires a first or last
 entry (the "starts with 1" / "ends with n" variants) has value 0 at index 0;
@@ -39,24 +41,43 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import Constraint, Discipline, ResourceLimitError, ValidationError
 from .patterns import Pattern
 
 PATTERN_231 = Pattern((2, 3, 1))
 PATTERN_122 = Pattern((1, 2, 2))
-PAIRABLE_WITH_122 = ("132", "213", "231", "123", "312", "321")
 
 
 @dataclass(frozen=True)
 class Family:
     """What a sequence family counts: the words of ``discipline`` that avoid
-    every pattern of ``avoid`` and satisfy ``constraint``."""
+    every pattern of ``avoid`` and satisfy ``constraint``.  Its table is built
+    from ``closed_form``, the n-th term for n >= 1, when that is set, and
+    otherwise from its 231 system's seed and stored recurrence."""
 
     discipline: Discipline
     avoid: tuple[Pattern, ...]
     constraint: Constraint = Constraint.NONE
+    closed_form: Callable[[int], int] | None = None
+
+
+def catalan(n: int) -> int:
+    """C(2n, n) / (n + 1), the number of matchings of either discipline."""
+    if n < 0:
+        raise ValidationError("catalan numbers need n >= 0")
+    return math.comb(2 * n, n) // (n + 1)
+
+
+def fibonacci(n: int) -> int:
+    """Fibonacci numbers with F(1) = F(2) = 1."""
+    if n < 1:
+        raise ValidationError("fibonacci convention starts at n = 1")
+    a, b = 1, 1
+    for _ in range(n - 1):
+        a, b = b, a + b
+    return a
 
 
 _NN, _NC = Discipline.NON_NESTING, Discipline.NON_CROSSING
@@ -69,10 +90,22 @@ FAMILIES: dict[str, Family] = {
     "rprime231": Family(_NN, (PATTERN_231,), Constraint.BOTH),
     "pbar231": Family(_NC, (PATTERN_231,)),
     "qbar231": Family(_NC, (PATTERN_231,), Constraint.FIRST_IS_1),
-    "q122": Family(_NC, (PATTERN_122,)),
+    # Exactly one labeling of each non-crossing matching avoids 122 (label
+    # the arcs in decreasing order of opener), which pins every 122 family to
+    # a closed form: C(n) alone or with sigma = 132, Fibonacci F(n+1) with
+    # 213, 2^(n-1) with 231 or 123, n with 312, and with 321 the values 1, 2,
+    # then 0 from n = 3 on (the forced labeling descends, so a 321 appears).
+    "q122": Family(_NC, (PATTERN_122,), closed_form=catalan),
     **{
-        f"q122,{key}": Family(_NC, (PATTERN_122, Pattern.parse(key)))
-        for key in PAIRABLE_WITH_122
+        f"q122,{sigma}": Family(_NC, (PATTERN_122, Pattern.parse(sigma)), closed_form=term)
+        for sigma, term in (
+            ("132", catalan),
+            ("213", lambda n: fibonacci(n + 1)),
+            ("231", lambda n: 2 ** (n - 1)),
+            ("123", lambda n: 2 ** (n - 1)),
+            ("312", lambda n: n),
+            ("321", lambda n: n if n < 3 else 0),
+        )
     },
 }
 
@@ -115,23 +148,6 @@ class SequenceTable:
     def items(self) -> Iterator[tuple[int, int]]:
         for offset, value in enumerate(self.values):
             yield self.first_index + offset, value
-
-
-def catalan(n: int) -> int:
-    """C(2n, n) / (n + 1), the number of matchings of either discipline."""
-    if n < 0:
-        raise ValidationError("catalan numbers need n >= 0")
-    return math.comb(2 * n, n) // (n + 1)
-
-
-def fibonacci(n: int) -> int:
-    """Fibonacci numbers with F(1) = F(2) = 1."""
-    if n < 1:
-        raise ValidationError("fibonacci convention starts at n = 1")
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
 
 
 def _conv(a: list[int], b: list[int], m: int) -> int:
@@ -488,49 +504,17 @@ def qbar_via_compositions(limit: int) -> SequenceTable:
     return SequenceTable("qbar231", tuple(values))
 
 
-def closed_form_122(sigma: Pattern | None, limit: int) -> SequenceTable:
-    """Counts of 122-avoiding non-crossing words, optionally also avoiding a
-    second pattern sigma, for indices 1..limit.
-
-    Exactly one labeling of each non-crossing matching avoids 122 (label the
-    arcs in decreasing order of opener), which pins every case to a closed
-    form: C(n) alone or with sigma=132, Fibonacci F(n+1) with 213, 2^(n-1)
-    with 231 or 123, n with 312, and with 321 the values 1, 2, then 0 from
-    n = 3 on (the forced labeling descends, so a 321 appears).
-    """
-    if limit < 1:
-        raise ValidationError("closed forms are tabulated from index 1")
-    if sigma is None:
-        name = "q122"
-        values = [catalan(n) for n in range(1, limit + 1)]
-    else:
-        key = str(sigma)
-        if key not in PAIRABLE_WITH_122:
-            raise ValidationError(
-                f"no closed form for 122 with {key}; supported: {PAIRABLE_WITH_122}"
-            )
-        name = f"q122,{key}"
-        if key == "132":
-            values = [catalan(n) for n in range(1, limit + 1)]
-        elif key == "213":
-            values = [fibonacci(n + 1) for n in range(1, limit + 1)]
-        elif key in ("231", "123"):
-            values = [2 ** (n - 1) for n in range(1, limit + 1)]
-        elif key == "312":
-            values = list(range(1, limit + 1))
-        else:  # 321
-            values = [1, 2][:limit] + [0] * (limit - 2)
-    return SequenceTable(name, tuple(values), first_index=1)
-
-
 def family_table(family: str, limit: int) -> SequenceTable:
-    """Build the table for a family of ``FAMILIES`` up to index ``limit``:
-    a 231 family from its system's seed and stored recurrence, a 122 family
-    from ``closed_form_122``.  Any other name raises ValidationError.
+    """Build the table for a family of ``FAMILIES`` up to index ``limit`` by
+    the route its row names: its closed form from index 1, or else its 231
+    system's seed and stored recurrence.  Any other name raises
+    ValidationError.
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown sequence family {family!r}; known: {tuple(FAMILIES)}")
-    first, *second = FAMILIES[family].avoid
-    if first == PATTERN_231:
+    term = FAMILIES[family].closed_form
+    if term is None:
         return _table_231(family, limit)
-    return closed_form_122(second[0] if second else None, limit)
+    if limit < 1:
+        raise ValidationError("closed forms are tabulated from index 1")
+    return SequenceTable(family, tuple(map(term, range(1, limit + 1))), first_index=1)

@@ -303,6 +303,11 @@ def test_verify_reports_failures(capsys, monkeypatch):
     assert code == EXIT_VERIFY_FAILED
     assert "FAIL: demo check" in out
     assert "expected 1, got 2" in err
+    code, out, _ = run(capsys, "verify", "--json")
+    assert code == EXIT_VERIFY_FAILED
+    (result,) = json.loads(out)["results"]
+    assert result["value"] == "fail"
+    assert result["detail"] == "n=1, family=p231, expected 1, got 2"
 
 
 def test_json_record(capsys):
@@ -312,6 +317,18 @@ def test_json_record(capsys):
     assert record["parameters"]["n"] == 2
     assert record["results"][0]["value"] == "4"
     assert record["results"][0]["provenance"] == "BRUTE_FORCE"
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_provenance_names_the_family_route(capsys, family):
+    # CLOSED_FORM exactly when the family's row holds a closed form; the
+    # later terms of q122,321 are 0, so its ratio is taken at n = 2
+    expected = "RECURRENCE" if FAMILIES[family].closed_form is None else "CLOSED_FORM"
+    n = "2" if family == "q122,321" else "4"
+    for argv in (("seq", family, "-N", "4", "--json"), ("ratio", family, n, "--json")):
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert {r["provenance"] for r in json.loads(out)["results"]} == {expected}
 
 
 @pytest.mark.parametrize("family", FAMILIES)

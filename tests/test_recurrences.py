@@ -13,7 +13,6 @@ from ncnperms.recurrences import (
     _noncrossing_convolution,
     _nonnesting_convolution,
     catalan,
-    closed_form_122,
     family_table,
     fibonacci,
     nonnesting_231_system,
@@ -255,18 +254,18 @@ def test_fibonacci():
 
 
 def test_closed_form_122_values():
-    assert closed_form_122(None, 5).values == (1, 2, 5, 14, 42)
-    assert closed_form_122(Pattern.parse("132"), 5).values == (1, 2, 5, 14, 42)
-    assert closed_form_122(Pattern.parse("213"), 5).values == (1, 2, 3, 5, 8)
-    assert closed_form_122(Pattern.parse("231"), 5).values == (1, 2, 4, 8, 16)
-    assert closed_form_122(Pattern.parse("123"), 5).values == (1, 2, 4, 8, 16)
-    assert closed_form_122(Pattern.parse("312"), 5).values == (1, 2, 3, 4, 5)
-    assert closed_form_122(Pattern.parse("321"), 5).values == (1, 2, 0, 0, 0)
-    assert closed_form_122(Pattern.parse("321"), 1).values == (1,)
+    assert family_table("q122", 5).values == (1, 2, 5, 14, 42)
+    assert family_table("q122,132", 5).values == (1, 2, 5, 14, 42)
+    assert family_table("q122,213", 5).values == (1, 2, 3, 5, 8)
+    assert family_table("q122,231", 5).values == (1, 2, 4, 8, 16)
+    assert family_table("q122,123", 5).values == (1, 2, 4, 8, 16)
+    assert family_table("q122,312", 5).values == (1, 2, 3, 4, 5)
+    assert family_table("q122,321", 5).values == (1, 2, 0, 0, 0)
+    assert family_table("q122,321", 1).values == (1,)
 
 
 def test_closed_form_122_starts_at_index_one():
-    table = closed_form_122(None, 3)
+    table = family_table("q122", 3)
     assert table.first_index == 1
     assert table[3] == 5
     with pytest.raises(IndexError):
@@ -275,9 +274,15 @@ def test_closed_form_122_starts_at_index_one():
 
 def test_closed_form_122_rejects_unsupported_sigma():
     with pytest.raises(ValidationError):
-        closed_form_122(Pattern.parse("212"), 5)
+        family_table("q122,212", 5)
     with pytest.raises(ValidationError):
-        closed_form_122(None, 0)
+        family_table("q122", 0)
+
+
+def test_every_family_has_exactly_one_route():
+    # a family is built by its closed form or, lacking one, by a 231 system
+    by_system = nonnesting_231_system(0) | noncrossing_231_system(0)
+    assert {n for n, f in FAMILIES.items() if f.closed_form is None} == by_system.keys()
 
 
 def test_family_table_every_family():
