@@ -14,20 +14,23 @@ dF/dy(0, y0) = +-1 (F has integer coefficients), and a Fraction appears only
 where a division really produces one.  Results are Fractions at the API
 boundary (``TruncatedSeries``); the residual F(x, y(x)) = 0 is checked exactly.
 
-Newton with precision doubling (Brent & Kung, J. ACM 1978) turns y, exact to
-x**p, into y - F(y)/F_y(y), exact to x**(2p+1).  Each step does only the work
-that step needs, and forms every coefficient of a product as one C-level
-``sum(map(operator.mul, ...))`` over the indices where both factors have
-entries:
+Newton iteration (Brent & Kung, J. ACM 1978) turns y, exact to x**p, into
+y - F(y)/F_y(y), exact to x**t for any t <= 2p+1.  The solver steps down from
+the target: it lands on order // 2**k for k = K, ..., 1, 0 (K + 1 the bit
+length of the order), so its last step starts from order // 2 + 1 known
+coefficients rather than overshooting from 2**K.  Each step does only the
+work that step needs, and forms every coefficient of a product or quotient
+as one C-level ``sum(map(operator.mul, ...))`` over the indices where both
+factors have entries:
 
 - the powers of y are built from a y of p+1 entries, not padded to the
   target order; an even power squares the half power, forming each cross
   term a_i*a_j (i < j) once and doubling it, and an odd power multiplies the
   power below by y;
 - F(y) must vanish to x**p.  The step checks that, and never assumes it.
-  The update F(y)/F_y(y) then starts at x**(p+1), so F_y(y) and its
-  reciprocal are needed only to half the target order, and the update
-  product runs over the non-zero part of F(y) alone.
+  The update F(y)/F_y(y) then starts at x**(p+1), so F_y(y) is needed only
+  to t - p - 1, and one online series division of the non-zero part of F(y)
+  by F_y(y) gives the update, with no reciprocal of F_y formed first.
 
 Kronecker substitution (packing a series into one big integer) was measured
 and not taken: CPython multiplies big integers by Karatsuba at best, and the
@@ -56,19 +59,15 @@ def _narrow(value: Fraction) -> RationalLike:
 
 
 def _truncated_product(
-    a: Sequence[RationalLike], b: Sequence[RationalLike], order: int, lo: int = 0
+    a: Sequence[RationalLike], b: Sequence[RationalLike], order: int
 ) -> list[RationalLike]:
-    """Coefficients 0..order of (a_lo x^lo + a_(lo+1) x^(lo+1) + ...) * b.
-
-    a's entries below ``lo`` are skipped, so the result is zero below x**lo;
-    the caller passes ``lo`` where it knows those entries vanish.  The
-    solver's own product, kept apart from recurrences._conv.
-    """
+    """Coefficients 0..order of a * b.  The solver's own product, kept apart
+    from recurrences._conv."""
     last_a, last_b = len(a) - 1, len(b) - 1
     rev_b = b[::-1]  # b[m - i] is rev_b[last_b - m + i]
     out: list[RationalLike] = [0] * (order + 1)
-    for m in range(lo, min(order, last_a + last_b) + 1):
-        i0, i1 = max(lo, m - last_b), min(m, last_a)
+    for m in range(min(order, last_a + last_b) + 1):
+        i0, i1 = max(0, m - last_b), min(m, last_a)
         start = last_b - m
         out[m] = sum(map(mul, a[i0 : i1 + 1], rev_b[start + i0 : start + i1 + 1]))
     return out
@@ -212,12 +211,19 @@ def _check_simple_root(equation: BivariatePolynomial, y0: RationalLike) -> None:
         )
 
 
-def _reciprocal(f: list[RationalLike], order: int) -> list[RationalLike]:
-    inv0 = _narrow(1 / Fraction(f[0]))
-    inv = [inv0]
-    for m in range(1, order + 1):
-        inv.append(-inv0 * sum(map(mul, f[1 : m + 1], reversed(inv))))
-    return inv
+def _truncated_quotient(
+    v: Sequence[RationalLike], s: Sequence[RationalLike], count: int
+) -> list[RationalLike]:
+    """The first ``count`` coefficients q of v / s, for s_0 != 0 and v of at
+    least ``count`` entries: q_m = (v_m - sum over k >= 1 of s_k q_(m-k)) / s_0."""
+    inv0 = _narrow(1 / Fraction(s[0]))
+    last = len(s) - 1
+    rev_s = s[::-1]  # s[k] is rev_s[last - k]
+    q: list[RationalLike] = []
+    for m in range(count):
+        k = min(m, last)
+        q.append((v[m] - sum(map(mul, rev_s[last - k : last], q[m - k :]))) * inv0)
+    return q
 
 
 def _newton_step(
@@ -237,8 +243,7 @@ def _newton_step(
         )
     half = correct - prev - 1
     slope = equation.derivative_y().compose(y, half, powers)
-    update = _truncated_product(value, _reciprocal(slope, half), correct, lo=prev + 1)
-    return y + [-u for u in update[prev + 1 :]]
+    return y + [-u for u in _truncated_quotient(value[prev + 1 :], slope, half + 1)]
 
 
 def solve_algebraic(
@@ -247,17 +252,18 @@ def solve_algebraic(
     """The unique series y with y(0) = y0 and F(x, y(x)) = 0 mod x**(order+1).
 
     Preconditions (checked): F(0, y0) = 0 and dF/dy(0, y0) != 0.  Newton
-    iteration with order doubling computes the root.  The preconditions make
-    the output its own certificate: a series with y(0) = y0 and a zero
-    ``residual`` to order N is the only solution to order N.
+    iteration steps to order // 2**k for k = order.bit_length() - 1, ..., 0.
+    The preconditions make the output its own certificate: a series with
+    y(0) = y0 and a zero ``residual`` to order N is the only solution to
+    order N.
     """
     if order < 0:
         raise ValidationError("order must be non-negative")
     y0 = _narrow(Fraction(y0))
     _check_simple_root(equation, y0)
     coeffs = [y0]
-    while len(coeffs) <= order:
-        coeffs = _newton_step(equation, coeffs, order)
+    for target in reversed([order >> k for k in range(order.bit_length())]):
+        coeffs = _newton_step(equation, coeffs, target)
     return TruncatedSeries(tuple(coeffs))
 
 

@@ -354,14 +354,21 @@ def test_export_is_not_a_command(capsys):
     assert list(commands) == ["count", "seq", "series", "growth", "ratio", "verify"]
 
 
-def _start_cli(argv, stdout, unbuffered):
-    """The console script's code path, ``entry_point``, in a child process
-    importing this checkout's sources, with Python's default buffered stdout
-    or with PYTHONUNBUFFERED=1, where the binary layer under stdout is the raw
-    file and may take only part of a write."""
+def _checkout_env():
+    """The environment of a child process that imports this checkout's sources,
+    with Python's default buffered stdout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def _start_cli(argv, stdout, unbuffered):
+    """The console script's code path, ``entry_point``, in a child process,
+    with the default buffered stdout or with PYTHONUNBUFFERED=1, where the
+    binary layer under stdout is the raw file and may take only part of a
+    write."""
+    env = _checkout_env()
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen(
@@ -404,6 +411,23 @@ def test_full_disk_on_stdout_exits_4_with_one_error_line():
         with open("/dev/full", "wb") as full:
             proc = _start_cli(("seq", "p231", "-N", "10"), full, unbuffered)
         _assert_stdout_error(proc, errno.ENOSPC)
+
+
+def test_python_dash_m_runs_the_cli():
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "ncnperms", *argv],
+            capture_output=True,
+            text=True,
+            env=_checkout_env(),
+            timeout=60,
+        )
+
+    done = run_module("seq", "p231", "-N", "5")
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, "1 1 4 17 77 367\n", "")
+    done = run_module("seq", "nosuch", "-N", "5")
+    assert (done.returncode, done.stdout) == (EXIT_USAGE, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_readme_cli_examples(capsys):

@@ -12,6 +12,7 @@ from ncnperms.series import (
     _newton_step,
     _power_table,
     _truncated_product,
+    _truncated_quotient,
     _truncated_square,
     builtin_equation,
     residual,
@@ -120,8 +121,9 @@ def test_solver_output_starts_at_y0_with_zero_residual():
 
 
 def test_solver_agrees_with_recurrences_across_orders():
-    # Newton fixes 1, 3, 7, ..., 127 coefficients: order 0 takes no step, and
-    # every order from 0 to 130 covers each way the last step can be cut short
+    # Newton steps to order >> k for k = bit_length - 1, ..., 0: order 0 takes
+    # no step, and orders 0 to 130 cover chains of up to eight steps, with
+    # each step landing one short of doubling or exactly on it
     nn = nonnesting_231_system(130)["p231"]
     nc = noncrossing_231_system(130)["pbar231"]
     for order in range(131):
@@ -143,10 +145,34 @@ def test_newton_step_rejects_a_partial_solution_that_does_not_vanish():
                 _newton_step(equation, corrupted, 15)
 
 
-def _product_by_definition(a, b, order, lo=0):
-    """sum over i >= lo of a_i * b_(m-i), for m = 0..order."""
+def test_solver_steps_down_from_the_target_order(monkeypatch):
+    steps = []
+
+    def recording_step(equation, y, target):
+        steps.append((len(y) - 1, target))
+        return _newton_step(equation, y, target)
+
+    monkeypatch.setattr("ncnperms.series._newton_step", recording_step)
+    for disc in Discipline:
+        for order in range(131):
+            steps.clear()
+            assert solve_algebraic(builtin_equation(disc), 1, order).order == order
+            targets, halved = [], order  # order, order // 2, ..., 1, rising
+            while halved:
+                targets.insert(0, halved)
+                halved //= 2
+            assert [target for _, target in steps] == targets
+            assert len(steps) == order.bit_length()
+            # each step starts where the one before landed, the last from
+            # order // 2 + 1 known coefficients
+            assert [known for known, _ in steps] == [0, *targets][:-1]
+            assert not order or steps[-1][0] == order // 2
+
+
+def _product_by_definition(a, b, order):
+    """sum of a_i * b_(m-i), for m = 0..order."""
     return [
-        sum(a[i] * b[m - i] for i in range(lo, m + 1) if i < len(a) and m - i < len(b))
+        sum(a[i] * b[m - i] for i in range(m + 1) if i < len(a) and m - i < len(b))
         for m in range(order + 1)
     ]
 
@@ -155,24 +181,39 @@ def _padded(coeffs, order):
     return (list(coeffs) + [0] * (order + 1))[: order + 1]
 
 
+def _draw(rng, exact, length):
+    """``length`` random signed values of up to 40 digits, as ints or Fractions."""
+    numbers = [rng.randint(-(10**40), 10**40) for _ in range(length)]
+    return numbers if exact is int else [Fraction(n, rng.randint(1, 97)) for n in numbers]
+
+
 @pytest.mark.parametrize("exact", [int, Fraction])
 def test_products_match_the_definition(exact):
     rng = random.Random(20261018)
-
-    def draw(length):
-        numbers = [rng.randint(-(10**40), 10**40) for _ in range(length)]
-        return numbers if exact is int else [Fraction(n, rng.randint(1, 97)) for n in numbers]
-
     for _ in range(300):
-        a, b = draw(rng.randint(1, 9)), draw(rng.randint(1, 9))
+        a, b = _draw(rng, exact, rng.randint(1, 9)), _draw(rng, exact, rng.randint(1, 9))
         order = rng.randint(0, 20)
-        lo = rng.randint(0, order + 3)  # sometimes past order
         assert _truncated_product(a, b, order) == _product_by_definition(a, b, order)
-        assert _truncated_product(a, b, order, lo) == _product_by_definition(a, b, order, lo)
         assert _truncated_square(a, order) == _product_by_definition(a, a, order)
     assert _truncated_product([2, 3], [5], 0) == [10]
     assert _truncated_square([7, 1], 0) == [49]
-    assert _truncated_product([2, 3], [5, 1], 2, lo=3) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("exact", [int, Fraction])
+def test_quotient_matches_the_definition(exact):
+    # q = v / s to ``count`` terms exactly when (q * s) mod x^count is v
+    rng = random.Random(20261019)
+    for trial in range(300):
+        count = rng.randint(0, 20)  # 0 included, and s often shorter than count
+        v, s = _draw(rng, exact, count), _draw(rng, exact, rng.randint(1, 9))
+        s[0] = exact(rng.choice([1, -1])) if trial % 2 else s[0] or 3  # unit and non-unit s_0
+        q = _truncated_quotient(v, s, count)
+        assert len(q) == count
+        if count:
+            assert _product_by_definition(q, s, count - 1) == v
+    assert _truncated_quotient([6, 0, 5], [2], 3) == [3, 0, Fraction(5, 2)]
+    assert _truncated_quotient([1, 0, 0, 0], [1, -1], 4) == [1, 1, 1, 1]
+    assert _truncated_quotient([7], [5, 1], 0) == []
 
 
 def test_power_table_matches_repeated_products():
