@@ -2,10 +2,11 @@
 
 Splitting a 231-avoiding word at the two positions of its largest label
 decomposes it into smaller words of the same kind, which turns the counts
-into closed convolution systems.  Coefficients are extracted jointly in
-increasing index order; every product on a right-hand side only involves
-earlier indices, so each step is forced.  Index n costs O(n) big-integer
-products, so a table to N costs O(N^2) of them.
+into closed convolution systems, declared once as data in ``NONNESTING_231``
+and ``NONCROSSING_231``.  ``_extracted`` reads the coefficients off jointly
+in increasing index order, ordering the tables within one index by their x^0
+terms, and raises unless each step is forced.  Index n costs O(n)
+big-integer products, so a table to N costs O(N^2) of them.
 
 The generating functions are algebraic, hence D-finite (Stanley 1980), so
 every table also satisfies a linear recurrence with polynomial coefficients,
@@ -19,10 +20,10 @@ prefix sums of p and q).  The recurrences were found
 by guessing over the convolution tables, modular linear algebra plus
 rational reconstruction in the style of Kauers & Paule, *The Concrete
 Tetrahedron*, ch. 7; ``tests/guess_recurrences.py`` re-derives them, and the
-tests check the unrolled tables against the convolution systems to index
-1000 and against the series solver.  The convolution systems stay as the
-reference route.  All arithmetic is exact integer arithmetic; a division
-that does not come out even raises ArithmeticError.
+tests check the unrolled tables against the extraction to index 1000 and
+against the series solver.  The extraction stays as the reference route.
+All arithmetic is exact integer arithmetic; a division that does not come
+out even raises ArithmeticError.
 
 ``FAMILIES`` is the registry of every table this module builds: for each
 CLI name, the discipline, the avoided patterns and the positional constraint
@@ -41,6 +42,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from graphlib import CycleError, TopologicalSorter
+from itertools import combinations, pairwise
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .core import Constraint, Discipline, ResourceLimitError, ValidationError
@@ -150,86 +154,99 @@ class SequenceTable:
             yield self.first_index + offset, value
 
 
-def _conv(a: list[int], b: list[int], m: int) -> int:
-    """Coefficient m of a product: the reference route's own, apart from the solver's."""
-    return sum(a[i] * b[m - i] for i in range(m + 1))
+#: A convolution system: each table's generating function is the sum of the
+#: terms under its name, a term (c, k, factors) being c * x^k times the
+#: product of the named series (() is the series 1).
+System = dict[str, tuple[tuple[int, int, tuple[str, ...]], ...]]
+
+#: The 231-avoiding non-nesting system: p231, q231, r231 and rprime231 count
+#: the unconstrained, first=1, last=n and both-constrained words.
+NONNESTING_231: System = {
+    "p231": ((2, 1, ("r231", "q231")), (1, 1, ("p231", "q231")),
+             (1, 1, ("r231", "p231")), (1, 1, ("p231", "p231")), (1, 0, ())),
+    "q231": ((2, 1, ("rprime231", "q231")), (1, 1, ("q231", "q231")),
+             (1, 1, ("rprime231", "p231")), (1, 1, ("q231", "p231")), (1, 1, ())),
+    "r231": ((1, 1, ("p231",)), (1, 1, ("r231",))),
+    "rprime231": ((1, 1, ("q231",)), (1, 1, ("rprime231",)), (1, 1, ())),
+}
+
+#: The 231-avoiding non-crossing system: pbar231 and qbar231 count the
+#: unconstrained and first=1 words.
+NONCROSSING_231: System = {
+    "pbar231": ((1, 1, ("pbar231",) * 3), (-1, 1, ("pbar231",) * 2),
+                (1, 0, ("pbar231", "qbar231")), (1, 0, ())),
+    "qbar231": ((1, 1, ("pbar231",)), (1, 1, ("pbar231", "qbar231"))),
+}
 
 
-def _by_name(**values: list[int]) -> dict[str, SequenceTable]:
+def right_sides(
+    system: System, values: dict[str, Sequence[int]], limit: int
+) -> Iterator[tuple[int, str, int]]:
+    """(n, name, coefficient n of name's right-hand side) for n = 0..limit,
+    evaluated on the coefficient lists ``values``.
+
+    Within an index, each table comes after every other table in its x^0
+    terms; ValidationError names a table when they need each other in a
+    cycle.  Each product is a running coefficient list, its last factor times
+    the product of the others, so the run costs O(limit^2) products.  A
+    caller that stores each value in ``values`` before pulling the next one
+    extracts the system."""
+    needs = {
+        name: {f for _, k, factors in terms if k == 0 for f in factors} - {name}
+        for name, terms in system.items()
+    }
+    try:
+        order = list(TopologicalSorter(needs).static_order())
+    except CycleError as error:
+        cycle = error.args[1]
+        raise ValidationError(f"extraction of {cycle[0]} is not forced: x^0 terms in a cycle {cycle}")
+    sides = {name: [(c, k, tuple(sorted(f))) for c, k, f in system[name]] for name in order}
+    products: dict[tuple[str, ...], Sequence[int]] = {(): [1] + [0] * limit}
+    products |= {(name,): values[name] for name in system}
+    for key in (key for terms in sides.values() for _, _, key in terms):
+        for j in range(2, len(key) + 1):
+            products.setdefault(key[:j], [0] * (limit + 1))
+    chained = [key for key in products if len(key) > 1]
+    early = {
+        name: [key[:j] for _, k, key in terms if k == 0 for j in range(2, len(key) + 1)]
+        for name, terms in sides.items()
+    }
+
+    def form(key: tuple[str, ...], n: int) -> None:
+        head, last = products[key[:-1]], products[key[-1:]]
+        products[key][n] = sum(map(mul, head[: n + 1], last[n::-1]))
+
+    for n in range(limit + 1):
+        for name in order:
+            for key in early[name]:  # formed again below, once name(n) is known
+                form(key, n)
+            yield n, name, sum(c * products[key][n - k] for c, k, key in sides[name] if k <= n)
+        for key in chained:
+            form(key, n)
+
+
+def _extracted(system: System, limit: int) -> dict[str, SequenceTable]:
+    """Tables to index ``limit`` extracted from ``system`` alone: the
+    reference route, keyed by name in declaration order.
+
+    A table's coefficient n reads 0 while it is formed, so a table may enter
+    its own x^0 term only where the term's other factors vanish at index 0
+    (p q in the non-crossing system, with q(0) = 0); otherwise the
+    extraction is not forced and raises ValidationError."""
+    if limit < 0:
+        raise ValidationError("table limit must be non-negative")
+    values = {name: [0] * (limit + 1) for name in system}
+    for n, name, value in right_sides(system, values, limit):
+        if n == 0 and any(
+            k == 0 and name in factors and all(values[f][0] for f in factors if f != name)
+            for _, k, factors in system[name]
+        ):
+            raise ValidationError(
+                f"extraction of {name} is not forced: one of its own x^0 terms "
+                f"has no other factor that vanishes at index 0"
+            )
+        values[name][n] = value
     return {name: SequenceTable(name, tuple(v)) for name, v in values.items()}
-
-
-def _nonnesting_convolution(limit: int) -> dict[str, SequenceTable]:
-    """Tables to index ``limit`` for 231-avoiding non-nesting words, by the
-    convolution system alone: the reference route.
-
-    The counts satisfy, with p/q/r/r' the four generating functions
-    (unconstrained, first=1, last=n, both):
-
-        p  = 2x r q + x p q + x r p + x p^2 + 1
-        q  = 2x r' q + x q^2 + x r' p + x q p + x
-        r  = x p + x r
-        r' = x q + x r' + x
-
-    Every right-hand term carries a factor x, so coefficient ``n`` of each
-    series only needs indices below ``n``; per index the evaluation order
-    q, r', p, r respects the remaining dependencies.
-    """
-    if limit < 0:
-        raise ValidationError("table limit must be non-negative")
-    size = limit + 1
-    p = [0] * size
-    q = [0] * size
-    r = [0] * size
-    rp = [0] * size
-    p[0] = 1
-    for n in range(1, size):
-        m = n - 1
-        q[n] = (
-            2 * _conv(rp, q, m)
-            + _conv(q, q, m)
-            + _conv(rp, p, m)
-            + _conv(q, p, m)
-            + (1 if n == 1 else 0)
-        )
-        rp[n] = q[n - 1] + rp[n - 1] + (1 if n == 1 else 0)
-        p[n] = (
-            2 * _conv(r, q, m)
-            + _conv(p, q, m)
-            + _conv(r, p, m)
-            + _conv(p, p, m)
-        )
-        r[n] = p[n - 1] + r[n - 1]
-    return _by_name(p231=p, q231=q, r231=r, rprime231=rp)
-
-
-def _noncrossing_convolution(limit: int) -> dict[str, SequenceTable]:
-    """Tables to index ``limit`` for 231-avoiding non-crossing words, by the
-    convolution system alone: the reference route.
-
-    With p/q the unconstrained and first=1 generating functions:
-
-        p = x p^2 (p - 1) + p q + 1
-        q = x p + x p q        (equivalently q = x p / (1 - x p))
-
-    The p q term carries no factor x, but its only index-n contribution is
-    p(0) * q(n), so computing q(n) first keeps the extraction forced.
-    """
-    if limit < 0:
-        raise ValidationError("table limit must be non-negative")
-    size = limit + 1
-    p = [0] * size
-    q = [0] * size
-    square = [0] * size  # running coefficients of p^2
-    p[0] = 1
-    square[0] = 1
-    for n in range(1, size):
-        m = n - 1
-        q[n] = p[n - 1] + _conv(p, q, m)
-        # the i = n term of p q is p[n] * q[0] = 0, so p[n] is not needed yet
-        p[n] = _conv(square, p, m) - square[m] + _conv(p, q, n)
-        square[n] = _conv(p, p, n)
-    return _by_name(pbar231=p, qbar231=q)
 
 
 #: Linear recurrences with polynomial coefficients: entry c[k][j] of a family
@@ -438,12 +455,9 @@ def nonnesting_231_system(limit: int) -> dict[str, SequenceTable]:
     231-avoiding non-nesting words, by name.
 
     The convolution system supplies the first terms, p and q continue by
-    their stored recurrences, and r, r' by their prefix sums
-    r(n) = p(n-1) + r(n-1), r'(n) = q(n-1) + r'(n-1).
+    their stored recurrences, and r, r' as prefix sums (``_PREFIX_SUMS``).
     """
-    if limit < 0:
-        raise ValidationError("table limit must be non-negative")
-    return _continued(_nonnesting_convolution(min(limit, _NONNESTING_SEED)), limit)
+    return _continued(_extracted(NONNESTING_231, min(limit, _NONNESTING_SEED)), limit)
 
 
 def noncrossing_231_system(limit: int) -> dict[str, SequenceTable]:
@@ -451,9 +465,7 @@ def noncrossing_231_system(limit: int) -> dict[str, SequenceTable]:
     231-avoiding non-crossing words, by name: the convolution system
     supplies the first terms, and both tables continue by their stored
     recurrences."""
-    if limit < 0:
-        raise ValidationError("table limit must be non-negative")
-    return _continued(_noncrossing_convolution(min(limit, _NONCROSSING_SEED)), limit)
+    return _continued(_extracted(NONCROSSING_231, min(limit, _NONCROSSING_SEED)), limit)
 
 
 def _table_231(family: str, limit: int) -> SequenceTable:
@@ -470,19 +482,11 @@ def _table_231(family: str, limit: int) -> SequenceTable:
     return _summed(seed[family], _unrolled(seed[summands], limit))
 
 
-def _compositions(n: int) -> Iterator[tuple[int, ...]]:
-    if n == 0:
-        yield ()
-        return
-    for head in range(1, n + 1):
-        for rest in _compositions(n - head):
-            yield (head, *rest)
-
-
 def qbar_via_compositions(limit: int) -> SequenceTable:
     """The first=1 non-crossing 231-avoiding counts, summed directly over
     compositions: the count at n is the sum over compositions (x1,...,xk)
     of n of the products p(x1-1) * ... * p(xk-1) of unconstrained counts.
+    Each composition is enumerated as its k - 1 cut points in 1..n-1.
 
     Exponential in ``limit`` (2^(n-1) compositions), hence capped; this is
     an independent route used to cross-check the convolution tables.
@@ -491,16 +495,15 @@ def qbar_via_compositions(limit: int) -> SequenceTable:
         raise ResourceLimitError(
             f"composition sum is exponential; limit {limit} exceeds cap {COMPOSITION_CAP}"
         )
-    p = noncrossing_231_system(max(limit, 1))["pbar231"]
-    values = [0] * (limit + 1)
-    for n in range(1, limit + 1):
-        total = 0
-        for comp in _compositions(n):
-            prod = 1
-            for part in comp:
-                prod *= p[part - 1]
-            total += prod
-        values[n] = total
+    p = noncrossing_231_system(max(limit, 1))["pbar231"].values
+    values = (
+        sum(
+            math.prod(p[end - start - 1] for start, end in pairwise((0, *cuts, n)))
+            for k in range(n)
+            for cuts in combinations(range(1, n), k)
+        )
+        for n in range(limit + 1)
+    )
     return SequenceTable("qbar231", tuple(values))
 
 

@@ -62,7 +62,7 @@ def _truncated_product(
     a: Sequence[RationalLike], b: Sequence[RationalLike], order: int
 ) -> list[RationalLike]:
     """Coefficients 0..order of a * b.  The solver's own product, kept apart
-    from recurrences._conv."""
+    from the products of the recurrence tables' reference route."""
     last_a, last_b = len(a) - 1, len(b) - 1
     rev_b = b[::-1]  # b[m - i] is rev_b[last_b - m + i]
     out: list[RationalLike] = [0] * (order + 1)

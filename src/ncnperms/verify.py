@@ -22,6 +22,8 @@ from .enumeration import count_by_constraint, labeled_words
 from .patterns import contains
 from .recurrences import (
     FAMILIES,
+    NONCROSSING_231,
+    NONNESTING_231,
     PATTERN_122,
     PATTERN_231,
     SequenceTable,
@@ -30,6 +32,7 @@ from .recurrences import (
     nonnesting_231_system,
     noncrossing_231_system,
     qbar_via_compositions,
+    right_sides,
 )
 from .series import builtin_equation, residual, solve_algebraic
 
@@ -213,24 +216,14 @@ def run_verification(
             "" if res.is_zero() else f"residual {res.render()}",
         )
 
-    # Tail identities: differencing the constrained tables recovers the
-    # unconstrained ones (last entry n strips to index n-1).
-    p, q, r, rprime = (tables[name] for name in ("p231", "q231", "r231", "rprime231"))
-
-    def tail_rows():
-        for n in range(1, min(order, p.last_index) + 1):
-            yield (
-                f"r231[{n}] - r231[{n - 1}] != p231[{n - 1}]",
-                p[n - 1],
-                r[n] - r[n - 1],
-            )
-            yield (
-                f"rprime231[{n}] - rprime231[{n - 1}] != q231[{n - 1}]",
-                q[n - 1] + (1 if n == 1 else 0),
-                rprime[n] - rprime[n - 1],
-            )
-
-    failure = _first_mismatch(tail_rows(), values=False)
+    # Both declared systems' equations on the six tables, to the shortest's end.
+    last = min(order, *(tables[name].last_index for name in systems))
+    values = {name: tables[name].values for name in systems}
+    failure = _first_mismatch(
+        (f"n={n}, equation={name}", values[name][n], side)
+        for system in (NONNESTING_231, NONCROSSING_231)
+        for n, name, side in right_sides(system, values, last)
+    )
     record(f"tail-difference identities, order {order}", failure)
 
     # Composition sum route for first=1 non-crossing counts.

@@ -12,7 +12,9 @@ and reads them back as rationals by rational reconstruction, adding primes
 until the reconstruction stops changing.  Clearing denominators and
 normalising to gcd 1, with a positive leading coefficient of c_r, gives the
 integer recurrence, which is then checked exactly on every equation.  The
-sequences themselves come from the convolution systems, the reference route.
+sequences themselves are extracted from the declared convolution systems
+``recurrences.NONNESTING_231`` and ``NONCROSSING_231`` by the one extraction
+``recurrences._extracted``, the reference route.
 
 Run as a script, it prints the table to store:
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ncnperms.recurrences import _noncrossing_convolution, _nonnesting_convolution
+from ncnperms.recurrences import NONCROSSING_231, NONNESTING_231, _extracted
 
 #: (order, degree) of the recurrence guessed for each family.
 SHAPES = {
@@ -173,15 +175,15 @@ def guess(values, order: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 def reference_tables() -> dict[str, tuple[int, ...]]:
-    """Each family of SHAPES from the convolution systems, as long as its
-    equations need."""
+    """Each family of SHAPES extracted from its declared system, as long as
+    its equations need."""
     needed = max((r + 1) * (d + 1) - 1 + SURPLUS + r for r, d in SHAPES.values())
-    tables = _nonnesting_convolution(needed) | _noncrossing_convolution(needed)
+    tables = _extracted(NONNESTING_231, needed) | _extracted(NONCROSSING_231, needed)
     return {family: tables[family].values for family in SHAPES}
 
 
 def derive_all() -> dict[str, tuple[tuple[int, ...], ...]]:
-    """Guess every family in SHAPES from the reference convolution tables."""
+    """Guess every family in SHAPES from the reference tables."""
     tables = reference_tables()
     return {family: guess(tables[family], *shape) for family, shape in SHAPES.items()}
 

@@ -8,16 +8,18 @@ from ncnperms.enumeration import Constraint, count_by_constraint
 from ncnperms.patterns import Pattern
 from ncnperms.recurrences import (
     FAMILIES,
+    NONCROSSING_231,
+    NONNESTING_231,
     P_RECURSIVE,
     SequenceTable,
-    _noncrossing_convolution,
-    _nonnesting_convolution,
+    _extracted,
     catalan,
     family_table,
     fibonacci,
     nonnesting_231_system,
     noncrossing_231_system,
     qbar_via_compositions,
+    right_sides,
 )
 
 # published expansions
@@ -81,7 +83,7 @@ def _all_tables(limit):
 
 
 def _all_references(limit):
-    return _nonnesting_convolution(limit) | _noncrossing_convolution(limit)
+    return _extracted(NONNESTING_231, limit) | _extracted(NONCROSSING_231, limit)
 
 
 def test_systems_key_every_table_by_its_name():
@@ -99,6 +101,41 @@ def test_recurrences_match_convolution_across_the_handover():
     largest_order = max(len(recurrence) for recurrence in P_RECURSIVE.values()) - 1
     for limit in range(largest_order + 3):
         assert _all_tables(limit) == _all_references(limit), limit
+
+
+@pytest.mark.parametrize(
+    "system, order",
+    [
+        # pbar's x^0 term p q needs q(n), so qbar231 comes first
+        (NONCROSSING_231, ["qbar231", "pbar231"]),
+        # no non-nesting table needs another at the same index
+        (NONNESTING_231, list(NONNESTING_231)),
+    ],
+)
+def test_extraction_order_is_derived_from_the_x0_terms(system, order):
+    values = {name: [0, 0] for name in system}
+    assert [name for _, name, _ in right_sides(system, values, 1)] == order * 2
+
+
+def test_extraction_rejects_a_negative_limit():
+    with pytest.raises(ValidationError, match="non-negative"):
+        _extracted(NONNESTING_231, -1)
+
+
+@pytest.mark.parametrize(
+    "system, unforced",
+    [
+        # a = a^2 + 1: a(n) enters its own coefficient n through 2 a(0) a(n)
+        ({"a": ((1, 0, ("a", "a")), (1, 0, ()))}, "a"),
+        # a(n) needs b(n) and b(n) needs a(n)
+        ({"a": ((1, 0, ("b",)), (1, 0, ())), "b": ((1, 1, ()), (1, 0, ("a",)))}, "a"),
+        # b = b a + 1 with a(0) = 1, the p q shape without q(0) = 0
+        ({"a": ((1, 0, ()),), "b": ((1, 0, ("b", "a")), (1, 0, ()))}, "b"),
+    ],
+)
+def test_an_unforced_extraction_raises_naming_the_table(system, unforced):
+    with pytest.raises(ValidationError, match=f"extraction of {unforced} is not forced"):
+        _extracted(system, 3)
 
 
 _SYSTEMS = {
@@ -154,7 +191,7 @@ def test_unroll_raises_on_a_remainder(monkeypatch):
     monkeypatch.setitem(P_RECURSIVE, "p231", ((c[0][0] + 1,) + c[0][1:],) + c[1:])
     with pytest.raises(ArithmeticError, match="p231.*remainder at index 15"):
         nonnesting_231_system(20)
-    assert nonnesting_231_system(14) == _nonnesting_convolution(14)
+    assert nonnesting_231_system(14) == _extracted(NONNESTING_231, 14)
 
 
 def test_unroll_raises_on_a_vanishing_leading_coefficient(monkeypatch):
