@@ -13,24 +13,25 @@ every table also satisfies a linear recurrence with polynomial coefficients,
 sum_k c_k(n) a(n + k) = 0, of order r <= 15.  The public systems take only
 the first r terms from the convolution system and continue p, q, pbar and
 qbar by those recurrences (``P_RECURSIVE``): about r big-by-small products
-and one exact division per term.  Both systems return their tables keyed by
-family name.  ``family_table`` reads the same seed through its system but
-unrolls only the one recurrence its family needs (r and r' continue as
-prefix sums of p and q).  The recurrences were found
-by guessing over the convolution tables, modular linear algebra plus
-rational reconstruction in the style of Kauers & Paule, *The Concrete
-Tetrahedron*, ch. 7; ``tests/guess_recurrences.py`` re-derives them, and the
-tests check the unrolled tables against the extraction to index 1000 and
-against the series solver.  The extraction stays as the reference route.
-All arithmetic is exact integer arithmetic; a division that does not come
-out even raises ArithmeticError.
+and one exact division per term; r and r' continue from their own declared
+equations.  ``_continued`` does both for the systems, which return their
+tables keyed by family name, and for ``family_table``, which reads the same
+seed through its system but unrolls only the recurrences its family reads.
+The recurrences were found by guessing over the convolution tables, modular
+linear algebra plus rational reconstruction in the style of Kauers & Paule,
+*The Concrete Tetrahedron*, ch. 7; ``tests/guess_recurrences.py`` re-derives
+them, and the tests check the unrolled tables against the extraction to
+index 1000 and against the series solver.  The extraction stays as the
+reference route.  All arithmetic is exact integer arithmetic; a division
+that does not come out even raises ArithmeticError.
 
 ``FAMILIES`` is the registry of every table this module builds: for each
 CLI name, the discipline, the avoided patterns and the positional constraint
 that the family counts, and its closed form where it has one.  The closed
 form, or its absence, is the one record of the route that builds the table;
 ``family_table``, the CLI's provenance tags and ``verify`` all read it there.
-``verify`` compares each registered family with the brute-force oracle.
+``verify`` builds each registered family through ``family_table`` and
+compares it with the brute-force oracle.
 
 Table conventions: a sequence whose definition requires a first or last
 entry (the "starts with 1" / "ends with n" variants) has value 0 at index 0;
@@ -45,7 +46,7 @@ from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import combinations, pairwise
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .core import Constraint, Discipline, ResourceLimitError, ValidationError
 from .patterns import Pattern
@@ -113,10 +114,6 @@ FAMILIES: dict[str, Family] = {
     },
 }
 
-#: The 231 families continued as the prefix sums a(n) = s(n-1) + a(n-1) of
-#: the family s named here, not by a stored recurrence of their own.
-_PREFIX_SUMS = {"r231": "p231", "rprime231": "q231"}
-
 COMPOSITION_CAP = 20
 
 
@@ -183,7 +180,8 @@ def right_sides(
     system: System, values: dict[str, Sequence[int]], limit: int
 ) -> Iterator[tuple[int, str, int]]:
     """(n, name, coefficient n of name's right-hand side) for n = 0..limit,
-    evaluated on the coefficient lists ``values``.
+    evaluated on the coefficient lists ``values``, which may hold tables
+    that the system reads but does not declare.
 
     Within an index, each table comes after every other table in its x^0
     terms; ValidationError names a table when they need each other in a
@@ -196,13 +194,13 @@ def right_sides(
         for name, terms in system.items()
     }
     try:
-        order = list(TopologicalSorter(needs).static_order())
+        order = [name for name in TopologicalSorter(needs).static_order() if name in system]
     except CycleError as error:
         cycle = error.args[1]
         raise ValidationError(f"extraction of {cycle[0]} is not forced: x^0 terms in a cycle {cycle}")
     sides = {name: [(c, k, tuple(sorted(f))) for c, k, f in system[name]] for name in order}
     products: dict[tuple[str, ...], Sequence[int]] = {(): [1] + [0] * limit}
-    products |= {(name,): values[name] for name in system}
+    products |= {(name,): values[name] for name in values}
     for key in (key for terms in sides.values() for _, _, key in terms):
         for j in range(2, len(key) + 1):
             products.setdefault(key[:j], [0] * (limit + 1))
@@ -225,9 +223,13 @@ def right_sides(
             form(key, n)
 
 
-def _extracted(system: System, limit: int) -> dict[str, SequenceTable]:
-    """Tables to index ``limit`` extracted from ``system`` alone: the
-    reference route, keyed by name in declaration order.
+def _extracted(
+    system: System, limit: int, given: Mapping[str, SequenceTable] = {}
+) -> dict[str, SequenceTable]:
+    """Tables to index ``limit`` extracted from ``system``, keyed by name in
+    declaration order.  ``given`` holds, to at least ``limit``, the tables
+    the equations read but do not declare; without it this is the reference
+    route.
 
     A table's coefficient n reads 0 while it is formed, so a table may enter
     its own x^0 term only where the term's other factors vanish at index 0
@@ -235,7 +237,8 @@ def _extracted(system: System, limit: int) -> dict[str, SequenceTable]:
     extraction is not forced and raises ValidationError."""
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
-    values = {name: [0] * (limit + 1) for name in system}
+    values = {name: t.values for name, t in given.items()}
+    values |= {name: [0] * (limit + 1) for name in system}
     for n, name, value in right_sides(system, values, limit):
         if n == 0 and any(
             k == 0 and name in factors and all(values[f][0] for f in factors if f != name)
@@ -246,7 +249,7 @@ def _extracted(system: System, limit: int) -> dict[str, SequenceTable]:
                 f"has no other factor that vanishes at index 0"
             )
         values[name][n] = value
-    return {name: SequenceTable(name, tuple(v)) for name, v in values.items()}
+    return {name: SequenceTable(name, tuple(values[name])) for name in system}
 
 
 #: Linear recurrences with polynomial coefficients: entry c[k][j] of a family
@@ -384,15 +387,6 @@ P_RECURSIVE: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-#: The last index each convolution seed supplies: the largest order among the
-#: recurrences of its discipline, less one, so every recurrence starts from a
-#: full window.
-_NONNESTING_SEED, _NONCROSSING_SEED = (
-    max(len(c) - 2 for name, c in P_RECURSIVE.items() if FAMILIES[name].discipline is disc)
-    for disc in (_NN, _NC)
-)
-
-
 def horner(poly: Sequence[int], x: int | Fraction) -> int | Fraction:
     """The polynomial with coefficients ``poly`` (constant first) at x."""
     value = 0
@@ -430,24 +424,26 @@ def _unrolled(seed: SequenceTable, limit: int) -> SequenceTable:
     return SequenceTable(family, tuple(values))
 
 
-def _summed(seed: SequenceTable, summands: SequenceTable) -> SequenceTable:
-    """``seed`` continued to the end of ``summands`` by the prefix sums
-    a(n) = summands(n-1) + a(n-1)."""
-    values = list(seed.values)
-    for n in range(len(values), len(summands.values)):
-        values.append(summands[n - 1] + values[n - 1])
-    return SequenceTable(seed.name, tuple(values))
+def _seed_limit(system: System) -> int:
+    """The last index the convolution seed of ``system`` supplies: the
+    largest order among its stored recurrences, less one, so every
+    recurrence starts from a full window."""
+    return max(len(P_RECURSIVE[name]) - 2 for name in system if name in P_RECURSIVE)
 
 
-def _continued(seed: dict[str, SequenceTable], limit: int) -> dict[str, SequenceTable]:
-    """Every table of a convolution seed continued to index ``limit``: by its
-    stored recurrence, or by the prefix sums of its ``_PREFIX_SUMS`` family."""
-    tables = {name: _unrolled(t, limit) for name, t in seed.items() if name in P_RECURSIVE}
-    return tables | {
-        name: _summed(t, tables[_PREFIX_SUMS[name]])
-        for name, t in seed.items()
-        if name in _PREFIX_SUMS
-    }
+def _continued(
+    system: System, seed: dict[str, SequenceTable], names: Sequence[str], limit: int
+) -> dict[str, SequenceTable]:
+    """The tables ``names`` of ``system`` to index ``limit``, keyed in that
+    order.  A table with a stored recurrence continues its ``seed`` by it;
+    any other is extracted from its own equation, given the unrolled tables
+    that equation reads.  Each recurrence is unrolled at most once."""
+    extracted = [name for name in names if name not in P_RECURSIVE]
+    reads = {f for name in extracted for _, _, factors in system[name] for f in factors}
+    needed = (reads | set(names)) & P_RECURSIVE.keys()
+    unrolled = {name: _unrolled(seed[name], limit) for name in needed}
+    tables = unrolled | _extracted({name: system[name] for name in extracted}, limit, unrolled)
+    return {name: tables[name] for name in names}
 
 
 def nonnesting_231_system(limit: int) -> dict[str, SequenceTable]:
@@ -455,9 +451,10 @@ def nonnesting_231_system(limit: int) -> dict[str, SequenceTable]:
     231-avoiding non-nesting words, by name.
 
     The convolution system supplies the first terms, p and q continue by
-    their stored recurrences, and r, r' as prefix sums (``_PREFIX_SUMS``).
+    their stored recurrences, and r and r' by their own equations.
     """
-    return _continued(_extracted(NONNESTING_231, min(limit, _NONNESTING_SEED)), limit)
+    seed = _extracted(NONNESTING_231, min(limit, _seed_limit(NONNESTING_231)))
+    return _continued(NONNESTING_231, seed, list(NONNESTING_231), limit)
 
 
 def noncrossing_231_system(limit: int) -> dict[str, SequenceTable]:
@@ -465,21 +462,8 @@ def noncrossing_231_system(limit: int) -> dict[str, SequenceTable]:
     231-avoiding non-crossing words, by name: the convolution system
     supplies the first terms, and both tables continue by their stored
     recurrences."""
-    return _continued(_extracted(NONCROSSING_231, min(limit, _NONCROSSING_SEED)), limit)
-
-
-def _table_231(family: str, limit: int) -> SequenceTable:
-    """One 231 table to index ``limit``, unrolling only the recurrence it
-    needs.  The seed comes from the system at the handover limit, where the
-    system unrolls nothing and the convolution route supplies every term."""
-    if FAMILIES[family].discipline is _NC:
-        seed = noncrossing_231_system(min(limit, _NONCROSSING_SEED))
-    else:
-        seed = nonnesting_231_system(min(limit, _NONNESTING_SEED))
-    summands = _PREFIX_SUMS.get(family)
-    if summands is None:
-        return _unrolled(seed[family], limit)
-    return _summed(seed[family], _unrolled(seed[summands], limit))
+    seed = _extracted(NONCROSSING_231, min(limit, _seed_limit(NONCROSSING_231)))
+    return _continued(NONCROSSING_231, seed, list(NONCROSSING_231), limit)
 
 
 def qbar_via_compositions(limit: int) -> SequenceTable:
@@ -517,7 +501,14 @@ def family_table(family: str, limit: int) -> SequenceTable:
         raise ValidationError(f"unknown sequence family {family!r}; known: {tuple(FAMILIES)}")
     term = FAMILIES[family].closed_form
     if term is None:
-        return _table_231(family, limit)
+        # the seed comes from the system at the handover limit, where the
+        # system unrolls nothing and the convolution route supplies every term
+        if FAMILIES[family].discipline is _NC:
+            system, build = NONCROSSING_231, noncrossing_231_system
+        else:
+            system, build = NONNESTING_231, nonnesting_231_system
+        seed = build(min(limit, _seed_limit(system)))
+        return _continued(system, seed, [family], limit)[family]
     if limit < 1:
         raise ValidationError("closed forms are tabulated from index 1")
     return SequenceTable(family, tuple(map(term, range(1, limit + 1))), first_index=1)

@@ -3,10 +3,11 @@ two independent ways, and this module runs the comparisons.
 
 Routes compared: brute-force enumeration, the recurrence tables (convolution
 systems continued by P-recursive recurrences), the implicit-equation series
-solver, and the closed forms.  On top of the value
-comparisons there are structural checks on the enumerated words themselves
-(what may happen inside the window spanned by the largest label, and which
-labelings of a non-crossing matching avoid 122).
+solver, and the closed forms, each table built by ``family_table`` as ``seq``
+prints it.  On top of the value comparisons there are structural checks on
+the enumerated words themselves (what may happen inside the window spanned
+by the largest label, and which labelings of a non-crossing matching avoid
+122).
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .recurrences import (
     SequenceTable,
     catalan,
     family_table,
-    nonnesting_231_system,
-    noncrossing_231_system,
     qbar_via_compositions,
     right_sides,
 )
@@ -143,17 +142,16 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run every cross-check at the given level and report one result each.
 
-    Every family of ``FAMILIES`` is compared with the brute-force oracle:
-    the 231 tables of each discipline in one check each, the 122 closed
-    forms in a third.  ``tables`` replaces the computed table of any family
-    by name; passing tables in lets tests confirm that corrupt data is
-    caught.
+    Every family of ``FAMILIES`` is built by ``family_table`` and compared
+    with the brute-force oracle: the 231 tables of each discipline in one
+    check each, the 122 closed forms in a third.  ``tables`` replaces the
+    built table of any family by name; passing tables in lets tests confirm
+    that corrupt data is caught.
     """
     max_n = 4 if level is Level.QUICK else 6
     order = 20 if level is Level.QUICK else 60
-    systems = nonnesting_231_system(order) | noncrossing_231_system(order)
-    closed = {name: family_table(name, max_n) for name, f in FAMILIES.items() if f.closed_form}
-    tables = systems | closed | dict(tables)
+    built = {n: family_table(n, max_n if f.closed_form else order) for n, f in FAMILIES.items()}
+    tables = built | dict(tables)
     results: list[CheckResult] = []
 
     def record(name: str, failure: str) -> None:
@@ -217,8 +215,9 @@ def run_verification(
         )
 
     # Both declared systems' equations on the six tables, to the shortest's end.
-    last = min(order, *(tables[name].last_index for name in systems))
-    values = {name: tables[name].values for name in systems}
+    declared = [name for system in (NONNESTING_231, NONCROSSING_231) for name in system]
+    last = min(order, *(tables[name].last_index for name in declared))
+    values = {name: tables[name].values for name in declared}
     failure = _first_mismatch(
         (f"n={n}, equation={name}", values[name][n], side)
         for system in (NONNESTING_231, NONCROSSING_231)

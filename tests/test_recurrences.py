@@ -122,6 +122,10 @@ def test_extraction_rejects_a_negative_limit():
         _extracted(NONNESTING_231, -1)
 
 
+#: A table the systems below may read without declaring it.
+_ONES = {"g": SequenceTable("g", (1, 1, 1, 1))}
+
+
 @pytest.mark.parametrize(
     "system, unforced",
     [
@@ -131,11 +135,20 @@ def test_extraction_rejects_a_negative_limit():
         ({"a": ((1, 0, ("b",)), (1, 0, ())), "b": ((1, 1, ()), (1, 0, ("a",)))}, "a"),
         # b = b a + 1 with a(0) = 1, the p q shape without q(0) = 0
         ({"a": ((1, 0, ()),), "b": ((1, 0, ("b", "a")), (1, 0, ()))}, "b"),
+        # b = b g + 1 with g(0) = 1 given, not declared
+        ({"b": ((1, 0, ("b", "g")), (1, 0, ()))}, "b"),
     ],
 )
 def test_an_unforced_extraction_raises_naming_the_table(system, unforced):
     with pytest.raises(ValidationError, match=f"extraction of {unforced} is not forced"):
-        _extracted(system, 3)
+        _extracted(system, 3, _ONES)
+
+
+def test_extraction_reads_given_tables():
+    # a = x b + x a, with b given: a(n) = b(n-1) + a(n-1), the prefix sums of b
+    system = {"a": ((1, 1, ("b",)), (1, 1, ("a",)))}
+    given = {"b": SequenceTable("b", (1, 2, 3, 4, 5, 6))}
+    assert _extracted(system, 5, given) == {"a": SequenceTable("a", (0, 1, 3, 6, 10, 15))}
 
 
 _SYSTEMS = {
@@ -169,6 +182,7 @@ def _bump_recurrence(monkeypatch, family):
     [
         ("q231", ("p231", "r231"), ("q231", "rprime231")),
         ("qbar231", ("pbar231",), ("qbar231",)),
+        ("p231", ("q231", "rprime231"), ("p231", "r231")),
     ],
 )
 def test_family_table_never_unrolls_a_recurrence_it_does_not_print(

@@ -1,5 +1,6 @@
 import pytest
 
+from ncnperms import verify
 from ncnperms.core import Discipline, Word
 from ncnperms.enumeration import Constraint, count_by_constraint, labeled_words
 from ncnperms.recurrences import FAMILIES, PATTERN_122, SequenceTable, family_table
@@ -108,6 +109,24 @@ def test_equation_check_catches_unrolled_terms_past_every_other_check(family):
     results = run_verification(Level.QUICK, tables={family: _bump(table, 18)})
     assert [(r.name, r.detail) for r in results if not r.passed] == [
         (EQUATIONS, f"n=18, equation={family}, expected {table[18] + 1}, got {table[18]}")
+    ]
+
+
+def test_equation_check_reads_the_tables_family_table_builds(monkeypatch):
+    # index 40 lies past both convolution seeds and the oracle's n <= 6; a
+    # bump that family_table makes there reaches the full equation check
+    def bumped(family, limit):
+        table = family_table(family, limit)
+        return _bump(table, 40) if family == "rprime231" else table
+
+    monkeypatch.setattr(verify, "family_table", bumped)
+    value = family_table("rprime231", 40)[40]
+    results = run_verification(Level.FULL)
+    assert [(r.name, r.detail) for r in results if not r.passed] == [
+        (
+            "tail-difference identities, order 60",
+            f"n=40, equation=rprime231, expected {value + 1}, got {value}",
+        )
     ]
 
 
