@@ -12,11 +12,14 @@ The generating functions are algebraic, hence D-finite (Stanley 1980), so
 every table also satisfies a linear recurrence with polynomial coefficients,
 sum_k c_k(n) a(n + k) = 0, of order r <= 15.  The public systems take only
 the first r terms from the convolution system and continue p, q, pbar and
-qbar by those recurrences (``P_RECURSIVE``): about r big-by-small products
-and one exact division per term; r and r' continue from their own declared
-equations.  ``_continued`` does both for the systems, which return their
-tables keyed by family name, and for ``family_table``, which reads the same
-seed through its system but unrolls only the recurrences its family reads.
+qbar by those recurrences (``P_RECURSIVE``).  Each c_k(n) is read off a
+stream of running sums over its forward differences, so a term of a
+degree-d recurrence costs d additions per coefficient, one C-level dot
+product of the r coefficients with the last r terms, and one exact
+division; r and r' continue from their own declared equations.
+``_continued`` does both for the systems, which return their tables keyed
+by family name, and for ``family_table``, which reads the same seed through
+its system but unrolls only the recurrences its family reads.
 The recurrences were found by guessing over the convolution tables, modular
 linear algebra plus rational reconstruction in the style of Kauers & Paule,
 *The Concrete Tetrahedron*, ch. 7; ``tests/guess_recurrences.py`` re-derives
@@ -44,7 +47,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
-from itertools import combinations, pairwise
+from itertools import accumulate, combinations, pairwise, repeat
 from operator import mul
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -209,6 +212,7 @@ def right_sides(
         name: [key[:j] for _, k, key in terms if k == 0 for j in range(2, len(key) + 1)]
         for name, terms in sides.items()
     }
+    operands = {name: [(c, k, products[key]) for c, k, key in terms] for name, terms in sides.items()}
 
     def form(key: tuple[str, ...], n: int) -> None:
         head, last = products[key[:-1]], products[key[-1:]]
@@ -218,7 +222,12 @@ def right_sides(
         for name in order:
             for key in early[name]:  # formed again below, once name(n) is known
                 form(key, n)
-            yield n, name, sum(c * products[key][n - k] for c, k, key in sides[name] if k <= n)
+            parts = (
+                product[n - k] if c == 1 else c * product[n - k]
+                for c, k, product in operands[name]
+                if k <= n
+            )
+            yield n, name, sum(parts, next(parts, 0))
         for key in chained:
             form(key, n)
 
@@ -395,26 +404,46 @@ def horner(poly: Sequence[int], x: int | Fraction) -> int | Fraction:
     return value
 
 
+def _stream(poly: Sequence[int], start: int) -> Iterator[int]:
+    """The values of the polynomial ``poly`` at start, start + 1, ..., without
+    end.  Its forward differences at ``start`` come from d + 1 Horner values,
+    and d nested running sums over the constant d-th difference rebuild the
+    values: d exact integer additions per term, all at C level."""
+    heads = []
+    row = [horner(poly, start + i) for i in range(len(poly))]
+    while row:
+        heads.append(row[0])
+        row = [b - a for a, b in pairwise(row)]
+    values = repeat(heads.pop())
+    for head in reversed(heads):
+        values = accumulate(values, initial=head)
+    return values
+
+
 def _unrolled(seed: SequenceTable, limit: int) -> SequenceTable:
     """``seed`` continued to index ``limit`` by its stored recurrence.
 
-    Each new term costs one exact division by the leading polynomial; a zero
+    Each coefficient polynomial is read off its own stream (``_stream``), so
+    a new term costs one C-level dot product of the r coefficients with the
+    last r terms, and one exact division by the leading polynomial; a zero
     divisor or a remainder raises ArithmeticError, never a truncated value.
+    A seed that already reaches ``limit`` is returned as it is.
     """
     family = seed.name
     recurrence = P_RECURSIVE[family]
     order = len(recurrence) - 1
-    *lower, leading = recurrence
+    start = len(seed.values)
+    if start > limit:
+        return seed
     values = list(seed.values)
-    for index in range(len(values), limit + 1):
-        n = index - order
-        divisor = horner(leading, n)
+    *lower, leading = (_stream(poly, start - order) for poly in recurrence)
+    for index, divisor, coefficients in zip(range(start, limit + 1), leading, zip(*lower)):
         if divisor == 0:
             raise ArithmeticError(
                 f"{family}: leading coefficient of the recurrence vanishes "
                 f"at index {index}"
             )
-        total = sum(horner(poly, n) * values[n + k] for k, poly in enumerate(lower))
+        total = sum(map(mul, coefficients, values[index - order : index]))
         quotient, remainder = divmod(-total, divisor)
         if remainder:
             raise ArithmeticError(

@@ -1,6 +1,8 @@
 import math
+from itertools import islice
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import guess_recurrences
 from ncnperms.core import Discipline, ResourceLimitError, ValidationError
@@ -13,9 +15,11 @@ from ncnperms.recurrences import (
     P_RECURSIVE,
     SequenceTable,
     _extracted,
+    _stream,
     catalan,
     family_table,
     fibonacci,
+    horner,
     nonnesting_231_system,
     noncrossing_231_system,
     qbar_via_compositions,
@@ -215,6 +219,49 @@ def test_unroll_raises_on_a_vanishing_leading_coefficient(monkeypatch):
     monkeypatch.setitem(P_RECURSIVE, "qbar231", c[:-1] + ((0, 1),))
     with pytest.raises(ArithmeticError, match="qbar231.*vanishes at index 10"):
         noncrossing_231_system(20)
+
+
+def test_unroll_raises_at_a_leading_root_past_the_first_unrolled_term(monkeypatch):
+    # multiplying every polynomial by (n - 5) keeps the recurrence true, so
+    # every division before shift 5 is exact; shift 5 is index 5 + 10
+    shifted = tuple(
+        tuple(a - 5 * b for a, b in zip((0, *poly), (*poly, 0)))
+        for poly in P_RECURSIVE["qbar231"]
+    )
+    monkeypatch.setitem(P_RECURSIVE, "qbar231", shifted)
+    with pytest.raises(
+        ArithmeticError, match="^qbar231: leading coefficient of the recurrence vanishes at index 15$"
+    ):
+        noncrossing_231_system(20)
+
+
+def test_unroll_raises_at_a_remainder_past_the_first_unrolled_term(monkeypatch):
+    # adding n to c_0 adds nothing at shift 0, the first unrolled term, and
+    # n a(n) = a(1) = 1 at shift 1, index 1 + 10
+    c = P_RECURSIVE["pbar231"]
+    monkeypatch.setitem(P_RECURSIVE, "pbar231", ((c[0][0], c[0][1] + 1, *c[0][2:]),) + c[1:])
+    with pytest.raises(ArithmeticError, match="^pbar231: recurrence leaves a remainder at index 11$"):
+        noncrossing_231_system(20)
+
+
+def test_every_stored_polynomial_streams_its_horner_values():
+    for family, recurrence in P_RECURSIVE.items():
+        for poly in recurrence:
+            streamed = list(islice(_stream(poly, 0), 2001))
+            assert streamed == [horner(poly, n) for n in range(2001)], family
+
+
+@given(
+    st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=7),
+    st.integers(-100, 3000),
+    st.integers(0, 40),
+)
+@example([7], 0, 0)
+@example([-3, 0, 2], 5, 1)
+def test_stream_matches_horner(poly, start, count):
+    # degree 0 to 6, from any start; the stream yields what Horner gives
+    streamed = list(islice(_stream(poly, start), count))
+    assert streamed == [horner(poly, start + i) for i in range(count)]
 
 
 def test_stored_recurrences_are_rederived_from_the_convolution_tables():
