@@ -17,10 +17,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import formats
 from .core import Constraint, Discipline, ResourceLimitError, ValidationError
@@ -47,8 +46,7 @@ class Provenance(Enum):
     CLOSED_FORM = "CLOSED_FORM"
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(NamedTuple):
     value: str
     provenance: Provenance | None = None
     label: str = ""
@@ -56,8 +54,7 @@ class Result:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class OutputRecord:
+class OutputRecord(NamedTuple):
     command: str
     parameters: dict
     results: tuple[Result, ...]

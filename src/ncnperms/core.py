@@ -11,7 +11,6 @@ Positions are 1-based throughout the public interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
@@ -45,14 +44,51 @@ class Constraint(Enum):
     BOTH = "first-is-1-and-last-is-n"
 
 
+class Immutable:
+    """Base of the validated value types.  A subclass names its fields, in
+    order, as its ``__slots__``; its ``__init__`` stores them with
+    ``object.__setattr__`` and calls ``self.__post_init__()``, which
+    validates them and may store normalised copies the same way.
+
+    Equality, hashing, pickling, copying and the ``Name(field=value, ...)``
+    repr derive from the fields; assigning or deleting one raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._astuple()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 @cache
 def _doubled_labels(n: int) -> list[int]:
     """[1, 1, 2, 2, ..., n, n]: a word's entries in sorted order."""
     return [lab for lab in range(1, n + 1) for _ in range(2)]
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Immutable):
     """A permutation of the multiset {1,1,...,n,n} as a flat label sequence.
 
     >>> Word((1, 2, 2, 1)).semilength
@@ -62,6 +98,11 @@ class Word:
     """
 
     entries: tuple[int, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         entries = tuple(self.entries)

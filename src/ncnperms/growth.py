@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Discipline, ValidationError
+from .core import Discipline, Immutable, ValidationError
 from .recurrences import SequenceTable, horner
 
 MAX_SCAN_SUBDIVISIONS = 40
@@ -29,11 +28,15 @@ class RootNotFoundError(ArithmeticError):
     """The sign scan exhausted its depth without finding a crossing."""
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(Immutable):
     """An integer polynomial, constant term first; trailing zeros dropped."""
 
     coefficients: tuple[int, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         coeffs = tuple(int(c) for c in self.coefficients)
@@ -62,8 +65,7 @@ class IntPolynomial:
         return Fraction(horner(scaled, x.numerator), x.denominator**d)
 
 
-@dataclass(frozen=True)
-class DecimalApprox:
+class DecimalApprox(Immutable):
     """An exact bracket [low, high] around a quantity, rendered as decimals.
 
     ``value`` is the midpoint rounded half-even to ``places`` digits;
@@ -75,7 +77,17 @@ class DecimalApprox:
     low: Fraction
     high: Fraction
     places: int
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+    __slots__ = ("low", "high", "places", "notes")
+
+    def __init__(
+        self, low: Fraction, high: Fraction, places: int, notes: tuple[str, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "low", low)
+        object.__setattr__(self, "high", high)
+        object.__setattr__(self, "places", places)
+        object.__setattr__(self, "notes", notes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.low > self.high:

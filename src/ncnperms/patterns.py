@@ -9,16 +9,14 @@ predicates because they define the word families studied here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
-from .core import ValidationError, Word
+from .core import Immutable, ValidationError, Word
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(Immutable):
     """A word over {1,...,m} with letters possibly repeated.
 
     >>> Pattern.parse("231").letters
@@ -26,6 +24,20 @@ class Pattern:
     """
 
     letters: tuple[int, ...]
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[int, ...]) -> None:
+        object.__setattr__(self, "letters", letters)
+        self.__post_init__()
+
+    # Written out, not derived: the oracle hashes patterns in its inner loop.
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is Pattern:
+            return self.letters == other.letters
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
 
     def __post_init__(self) -> None:
         letters = tuple(self.letters)

@@ -44,22 +44,20 @@ the unconstrained counts have value 1 there, the empty word.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from graphlib import CycleError, TopologicalSorter
 from itertools import accumulate, combinations, pairwise, repeat
 from operator import mul
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .core import Constraint, Discipline, ResourceLimitError, ValidationError
+from .core import Constraint, Discipline, Immutable, ResourceLimitError, ValidationError
 from .patterns import Pattern
 
 PATTERN_231 = Pattern((2, 3, 1))
 PATTERN_122 = Pattern((1, 2, 2))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """What a sequence family counts: the words of ``discipline`` that avoid
     every pattern of ``avoid`` and satisfy ``constraint``.  Its table is built
     from ``closed_form``, the n-th term for n >= 1, when that is set, and
@@ -120,13 +118,19 @@ FAMILIES: dict[str, Family] = {
 COMPOSITION_CAP = 20
 
 
-@dataclass(frozen=True)
-class SequenceTable:
+class SequenceTable(Immutable):
     """A named finite integer sequence, indexed first_index..last_index."""
 
     name: str
     values: tuple[int, ...]
-    first_index: int = 0
+    first_index: int
+    __slots__ = ("name", "values", "first_index")
+
+    def __init__(self, name: str, values: tuple[int, ...], first_index: int = 0) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "first_index", first_index)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))

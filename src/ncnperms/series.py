@@ -39,12 +39,11 @@ coefficients' widely varying sizes make the padding costly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
 
-from .core import Discipline, ValidationError
+from .core import Discipline, Immutable, ValidationError
 
 RationalLike = Fraction | int
 
@@ -88,11 +87,15 @@ def _truncated_square(a: Sequence[RationalLike], order: int) -> list[RationalLik
     return out
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Immutable):
     """The solver's result: a power series known exactly up to x**order."""
 
     coefficients: tuple[Fraction, ...]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: Sequence[RationalLike]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         coeffs = tuple(Fraction(c) for c in self.coefficients)
@@ -137,11 +140,15 @@ def _power_table(
     return powers
 
 
-@dataclass(frozen=True)
-class BivariatePolynomial:
+class BivariatePolynomial(Immutable):
     """An integer polynomial in x and y, stored as (x-degree, y-degree) -> coefficient."""
 
     coefficients: Mapping[tuple[int, int], int]
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients: Mapping[tuple[int, int], int]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         cleaned = {

@@ -13,10 +13,9 @@ by the largest label, and which labelings of a non-crossing matching avoid
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .core import Constraint, Discipline, Word
 from .enumeration import count_by_constraint, labeled_words
@@ -41,8 +40,7 @@ class Level(Enum):
     FULL = "full"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
