@@ -3,9 +3,9 @@
 Splitting a 231-avoiding word at the two positions of its largest label
 decomposes it into smaller words of the same kind, which turns the counts
 into closed convolution systems, declared once as data in ``NONNESTING_231``
-and ``NONCROSSING_231``.  ``_extracted`` reads the coefficients off jointly
-in increasing index order, ordering the tables within one index by their x^0
-terms, and raises unless each step is forced.  Index n costs O(n)
+and ``NONCROSSING_231``, where every term that reads a table carries x^k
+with k >= 1, so ``_extracted`` reads the coefficients off jointly in
+increasing index order, each from lower indices only.  Index n costs O(n)
 big-integer products, so a table to N costs O(N^2) of them.
 
 The generating functions are algebraic, hence D-finite (Stanley 1980), so
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from graphlib import CycleError, TopologicalSorter
 from itertools import accumulate, combinations, pairwise, repeat
 from operator import mul
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -61,7 +60,8 @@ class Family(NamedTuple):
     """What a sequence family counts: the words of ``discipline`` that avoid
     every pattern of ``avoid`` and satisfy ``constraint``.  Its table is built
     from ``closed_form``, the n-th term for n >= 1, when that is set, and
-    otherwise from its 231 system's seed and stored recurrence."""
+    otherwise from its 231 system (``_continued``): the seed and its stored
+    recurrence, or for r231 and rprime231 their own declared equations."""
 
     discipline: Discipline
     avoid: tuple[Pattern, ...]
@@ -160,7 +160,9 @@ class SequenceTable(Immutable):
 
 #: A convolution system: each table's generating function is the sum of the
 #: terms under its name, a term (c, k, factors) being c * x^k times the
-#: product of the named series (() is the series 1).
+#: product of the named series (() is the series 1).  Every term that reads a
+#: table carries x^k with k >= 1, so coefficient n of each right-hand side
+#: reads only indices below n.
 System = dict[str, tuple[tuple[int, int, tuple[str, ...]], ...]]
 
 #: The 231-avoiding non-nesting system: p231, q231, r231 and rprime231 count
@@ -175,10 +177,12 @@ NONNESTING_231: System = {
 }
 
 #: The 231-avoiding non-crossing system: pbar231 and qbar231 count the
-#: unconstrained and first=1 words.
+#: unconstrained and first=1 words.  The decomposition gives
+#: pbar = x pbar^2 (pbar - 1) + pbar qbar + 1, and qbar = x pbar (1 + qbar)
+#: turns its x^0 term into pbar qbar = x pbar^2 + x pbar^2 qbar, so pbar is
+#: declared as 1 + x pbar^3 + x pbar^2 qbar.
 NONCROSSING_231: System = {
-    "pbar231": ((1, 1, ("pbar231",) * 3), (-1, 1, ("pbar231",) * 2),
-                (1, 0, ("pbar231", "qbar231")), (1, 0, ())),
+    "pbar231": ((1, 1, ("pbar231",) * 3), (1, 1, ("pbar231", "pbar231", "qbar231")), (1, 0, ())),
     "qbar231": ((1, 1, ("pbar231",)), (1, 1, ("pbar231", "qbar231"))),
 }
 
@@ -190,50 +194,29 @@ def right_sides(
     evaluated on the coefficient lists ``values``, which may hold tables
     that the system reads but does not declare.
 
-    Within an index, each table comes after every other table in its x^0
-    terms; ValidationError names a table when they need each other in a
-    cycle.  Each product is a running coefficient list, its last factor times
-    the product of the others, so the run costs O(limit^2) products.  A
-    caller that stores each value in ``values`` before pulling the next one
-    extracts the system."""
-    needs = {
-        name: {f for _, k, factors in terms if k == 0 for f in factors} - {name}
-        for name, terms in system.items()
-    }
-    try:
-        order = [name for name in TopologicalSorter(needs).static_order() if name in system]
-    except CycleError as error:
-        cycle = error.args[1]
-        raise ValidationError(f"extraction of {cycle[0]} is not forced: x^0 terms in a cycle {cycle}")
-    sides = {name: [(c, k, tuple(sorted(f))) for c, k, f in system[name]] for name in order}
+    Every term that reads a table must carry x^k with k >= 1, or
+    ValidationError names the first table whose equation breaks this.  Each
+    index yields its tables in declaration order, then extends each product,
+    its last factor times the product of the others, so the run costs
+    O(limit^2) products.  A caller that stores each value in ``values``
+    before pulling the next one extracts the system."""
+    for name, terms in system.items():
+        if any(k == 0 and factors for _, k, factors in terms):
+            raise ValidationError(f"extraction of {name} is not forced: an x^0 term reads a table")
+    sides = {name: [(c, k, tuple(sorted(f))) for c, k, f in system[name]] for name in system}
     products: dict[tuple[str, ...], Sequence[int]] = {(): [1] + [0] * limit}
     products |= {(name,): values[name] for name in values}
     for key in (key for terms in sides.values() for _, _, key in terms):
         for j in range(2, len(key) + 1):
             products.setdefault(key[:j], [0] * (limit + 1))
     chained = [key for key in products if len(key) > 1]
-    early = {
-        name: [key[:j] for _, k, key in terms if k == 0 for j in range(2, len(key) + 1)]
-        for name, terms in sides.items()
-    }
     operands = {name: [(c, k, products[key]) for c, k, key in terms] for name, terms in sides.items()}
-
-    def form(key: tuple[str, ...], n: int) -> None:
-        head, last = products[key[:-1]], products[key[-1:]]
-        products[key][n] = sum(map(mul, head[: n + 1], last[n::-1]))
-
     for n in range(limit + 1):
-        for name in order:
-            for key in early[name]:  # formed again below, once name(n) is known
-                form(key, n)
-            parts = (
-                product[n - k] if c == 1 else c * product[n - k]
-                for c, k, product in operands[name]
-                if k <= n
-            )
-            yield n, name, sum(parts, next(parts, 0))
+        for name, side in operands.items():
+            yield n, name, sum(c * product[n - k] for c, k, product in side if k <= n)
         for key in chained:
-            form(key, n)
+            head, last = products[key[:-1]], products[key[-1:]]
+            products[key][n] = sum(map(mul, head[: n + 1], last[n::-1]))
 
 
 def _extracted(
@@ -242,25 +225,12 @@ def _extracted(
     """Tables to index ``limit`` extracted from ``system``, keyed by name in
     declaration order.  ``given`` holds, to at least ``limit``, the tables
     the equations read but do not declare; without it this is the reference
-    route.
-
-    A table's coefficient n reads 0 while it is formed, so a table may enter
-    its own x^0 term only where the term's other factors vanish at index 0
-    (p q in the non-crossing system, with q(0) = 0); otherwise the
-    extraction is not forced and raises ValidationError."""
+    route."""
     if limit < 0:
         raise ValidationError("table limit must be non-negative")
     values = {name: t.values for name, t in given.items()}
     values |= {name: [0] * (limit + 1) for name in system}
     for n, name, value in right_sides(system, values, limit):
-        if n == 0 and any(
-            k == 0 and name in factors and all(values[f][0] for f in factors if f != name)
-            for _, k, factors in system[name]
-        ):
-            raise ValidationError(
-                f"extraction of {name} is not forced: one of its own x^0 terms "
-                f"has no other factor that vanishes at index 0"
-            )
         values[name][n] = value
     return {name: SequenceTable(name, tuple(values[name])) for name in system}
 
@@ -527,8 +497,8 @@ def qbar_via_compositions(limit: int) -> SequenceTable:
 def family_table(family: str, limit: int) -> SequenceTable:
     """Build the table for a family of ``FAMILIES`` up to index ``limit`` by
     the route its row names: its closed form from index 1, or else its 231
-    system's seed and stored recurrence.  Any other name raises
-    ValidationError.
+    system's seed and stored recurrence, or for r231 and rprime231 their own
+    declared equations.  Any other name raises ValidationError.
     """
     if family not in FAMILIES:
         raise ValidationError(f"unknown sequence family {family!r}; known: {tuple(FAMILIES)}")

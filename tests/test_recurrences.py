@@ -107,18 +107,26 @@ def test_recurrences_match_convolution_across_the_handover():
         assert _all_tables(limit) == _all_references(limit), limit
 
 
-@pytest.mark.parametrize(
-    "system, order",
-    [
-        # pbar's x^0 term p q needs q(n), so qbar231 comes first
-        (NONCROSSING_231, ["qbar231", "pbar231"]),
-        # no non-nesting table needs another at the same index
-        (NONNESTING_231, list(NONNESTING_231)),
-    ],
-)
-def test_extraction_order_is_derived_from_the_x0_terms(system, order):
-    values = {name: [0, 0] for name in system}
-    assert [name for _, name, _ in right_sides(system, values, 1)] == order * 2
+@pytest.mark.parametrize("system", [NONCROSSING_231, NONNESTING_231])
+def test_right_sides_yield_each_index_in_declaration_order(system):
+    values = {name: [0, 0, 0] for name in system}
+    yielded = [(n, name) for n, name, _ in right_sides(system, values, 2)]
+    assert yielded == [(n, name) for n in range(3) for name in system]
+
+
+def _convolved(a, b):
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def test_noncrossing_tables_satisfy_the_decomposition_form():
+    # the decomposition's own form, pbar = x pbar^2 (pbar - 1) + pbar qbar + 1,
+    # which NONCROSSING_231 declares after substituting qbar = x pbar (1 + qbar)
+    tables = _extracted(NONCROSSING_231, 60)
+    p, q = tables["pbar231"].values, tables["qbar231"].values
+    p2 = _convolved(p, p)
+    x_term = [0] + [a - b for a, b in zip(_convolved(p2, p), p2)][:-1]
+    one = [1] + [0] * 60
+    assert [a + b + c for a, b, c in zip(x_term, _convolved(p, q), one)] == list(p)
 
 
 def test_extraction_rejects_a_negative_limit():
@@ -141,6 +149,16 @@ _ONES = {"g": SequenceTable("g", (1, 1, 1, 1))}
         ({"a": ((1, 0, ()),), "b": ((1, 0, ("b", "a")), (1, 0, ()))}, "b"),
         # b = b g + 1 with g(0) = 1 given, not declared
         ({"b": ((1, 0, ("b", "g")), (1, 0, ()))}, "b"),
+        # the non-crossing decomposition's own form, whose x^0 term pbar qbar
+        # NONCROSSING_231 rewrites with qbar = x pbar (1 + qbar)
+        (
+            {
+                "pbar231": ((1, 1, ("pbar231",) * 3), (-1, 1, ("pbar231",) * 2),
+                            (1, 0, ("pbar231", "qbar231")), (1, 0, ())),
+                "qbar231": ((1, 1, ("pbar231",)), (1, 1, ("pbar231", "qbar231"))),
+            },
+            "pbar231",
+        ),
     ],
 )
 def test_an_unforced_extraction_raises_naming_the_table(system, unforced):

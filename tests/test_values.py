@@ -87,7 +87,7 @@ def test_cli_parser_builds_without_dataclasses_or_inspect():
     probe = (
         f"import sys; sys.path.insert(0, {str(SRC)!r}); "
         "from ncnperms import cli; cli.build_parser(); "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'graphlib'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
