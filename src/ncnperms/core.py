@@ -46,9 +46,8 @@ class Constraint(Enum):
 
 class Immutable:
     """Base of the validated value types.  A subclass names its fields, in
-    order, as its ``__slots__``; its ``__init__`` stores them with
-    ``object.__setattr__`` and calls ``self.__post_init__()``, which
-    validates them and may store normalised copies the same way.
+    order, as its ``__slots__``; its ``__init__`` validates and normalises
+    its arguments, then stores each field once with ``object.__setattr__``.
 
     Equality, hashing, pickling, copying and the ``Name(field=value, ...)``
     repr derive from the fields; assigning or deleting one raises
@@ -100,6 +99,7 @@ class Word(Immutable):
     entries: tuple[int, ...]
     __slots__ = ("entries",)
 
+    # validation stays a method of its own: perfbench traces it as core.word
     def __init__(self, entries: tuple[int, ...]) -> None:
         object.__setattr__(self, "entries", entries)
         self.__post_init__()

@@ -173,13 +173,12 @@ def count_by_constraint(
     }
     patterns = list(dict.fromkeys(p for family in families.values() for p in family))
     members = [[patterns.index(p) for p in family] for family in families.values()]
-    # each pattern as its class and the (j, k) index pairs into the class's
-    # arc tuples whose labels must rise, one pair per step from letter i to i+1
-    plans = []
-    for pattern in patterns:
-        cls, order = _equality_class(pattern)
-        plans.append((cls, tuple(zip(order, order[1:]))))
-    classes = {cls for cls, _ in plans}
+    # each pattern as the index of its class and the (j, k) index pairs into
+    # the class's arc tuples whose labels must rise, one pair per step from
+    # letter i to i+1
+    equality = [_equality_class(pattern) for pattern in patterns]
+    classes = list(dict.fromkeys(cls for cls, _ in equality))
+    plans = [(classes.index(cls), tuple(zip(order, order[1:]))) for cls, order in equality]
     totals = {key: dict.fromkeys(Constraint, 0) for key in families}
     less, has = _labeling_masks(n)
     everything = (1 << math.factorial(n)) - 1
@@ -193,16 +192,16 @@ def count_by_constraint(
             Constraint.LAST_IS_N: last,
             Constraint.BOTH: first & last,
         }
-        fits = {cls: list(occurrence_arcs(cls, pairs)) for cls in classes}
+        fits = [list(occurrence_arcs(cls, pairs)) for cls in classes]
         contained = [0] * len(patterns)
-        for i, (cls, steps) in enumerate(plans):
-            for arcs in fits[cls]:
+        for i, (c, steps) in enumerate(plans):
+            for arcs in fits[c]:
                 rising = everything
                 for j, k in steps:
                     rising &= less[arcs[j]][arcs[k]]
                 contained[i] |= rising
-        for key, family in zip(families, members):
+        for counts, family in zip(totals.values(), members):
             avoiding = everything & ~reduce(or_, (contained[i] for i in family), 0)
             for constraint, mask in within.items():
-                totals[key][constraint] += (avoiding & mask).bit_count()
+                counts[constraint] += (avoiding & mask).bit_count()
     return totals if several else totals[None]

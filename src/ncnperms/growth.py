@@ -35,11 +35,7 @@ class IntPolynomial(Immutable):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coefficients)
+        coeffs = tuple(int(c) for c in coefficients)
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -83,17 +79,14 @@ class DecimalApprox(Immutable):
     def __init__(
         self, low: Fraction, high: Fraction, places: int, notes: tuple[str, ...] = ()
     ) -> None:
+        if low > high:
+            raise ValidationError("bracket endpoints out of order")
+        if places < 1:
+            raise ValidationError("need at least one decimal place")
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
         object.__setattr__(self, "places", places)
         object.__setattr__(self, "notes", notes)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.low > self.high:
-            raise ValidationError("bracket endpoints out of order")
-        if self.places < 1:
-            raise ValidationError("need at least one decimal place")
 
     @property
     def width(self) -> Fraction:

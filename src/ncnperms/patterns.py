@@ -27,21 +27,7 @@ class Pattern(Immutable):
     __slots__ = ("letters",)
 
     def __init__(self, letters: tuple[int, ...]) -> None:
-        object.__setattr__(self, "letters", letters)
-        self.__post_init__()
-
-    # Written out, not derived: the oracle hashes patterns in its inner loop.
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is Pattern:
-            return self.letters == other.letters
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.letters,))
-
-    def __post_init__(self) -> None:
-        letters = tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+        letters = tuple(letters)
         if not letters:
             raise ValidationError("pattern must have at least one letter")
         m = max(letters)
@@ -49,6 +35,7 @@ class Pattern(Immutable):
             raise ValidationError(
                 f"pattern letters must be exactly 1..{m} (contiguous), got {letters}"
             )
+        object.__setattr__(self, "letters", letters)
 
     def __str__(self) -> str:
         return "".join(str(c) for c in self.letters)

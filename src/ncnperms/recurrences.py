@@ -127,19 +127,16 @@ class SequenceTable(Immutable):
     __slots__ = ("name", "values", "first_index")
 
     def __init__(self, name: str, values: tuple[int, ...], first_index: int = 0) -> None:
+        values = tuple(values)
+        if not values:
+            raise ValidationError("sequence table must hold at least one value")
+        if first_index < 0:
+            raise ValidationError("first_index must be non-negative")
+        if any(v < 0 for v in values):
+            raise ValidationError("counting sequences are non-negative")
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "first_index", first_index)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        if not self.values:
-            raise ValidationError("sequence table must hold at least one value")
-        if self.first_index < 0:
-            raise ValidationError("first_index must be non-negative")
-        if any(v < 0 for v in self.values):
-            raise ValidationError("counting sequences are non-negative")
 
     @property
     def last_index(self) -> int:

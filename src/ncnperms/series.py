@@ -94,14 +94,10 @@ class TruncatedSeries(Immutable):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Sequence[RationalLike]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        object.__setattr__(self, "coefficients", coeffs)
+        coeffs = tuple(Fraction(c) for c in coefficients)
         if not coeffs:
             raise ValidationError("a truncated series stores at least order 0")
+        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def order(self) -> int:
@@ -147,13 +143,9 @@ class BivariatePolynomial(Immutable):
     __slots__ = ("coefficients",)
 
     def __init__(self, coefficients: Mapping[tuple[int, int], int]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         cleaned = {
             (int(i), int(j)): int(c)
-            for (i, j), c in dict(self.coefficients).items()
+            for (i, j), c in dict(coefficients).items()
             if c != 0
         }
         if any(i < 0 or j < 0 for i, j in cleaned):

@@ -127,11 +127,16 @@ def _first_mismatch(
 ) -> str:
     """Detail for the first (label, expected, got) row whose values differ,
     or "" when all agree.  Rows are pulled lazily, so a check stops working
-    at its first mismatch; ``values=False`` reports the label alone.
+    at its first mismatch; ``values=False`` reports the label alone.  A row
+    that reads past the end of a table fails the check with the table's
+    IndexError, which names the family and the first missing index.
     """
-    for label, expected, got in rows:
-        if expected != got:
-            return f"{label}, expected {expected}, got {got}" if values else label
+    try:
+        for label, expected, got in rows:
+            if expected != got:
+                return f"{label}, expected {expected}, got {got}" if values else label
+    except IndexError as exc:
+        return str(exc)
     return ""
 
 
@@ -212,14 +217,15 @@ def run_verification(
             "" if res.is_zero() else f"residual {res.render()}",
         )
 
-    # Both declared systems' equations on the six tables, to the shortest's end.
+    # Both declared systems' equations on the six tables, to x^order.  Each
+    # side at n reads its tables below n only, so a table that ends early
+    # fails at its first missing index before any side reads past it.
     declared = [name for system in (NONNESTING_231, NONCROSSING_231) for name in system]
-    last = min(order, *(tables[name].last_index for name in declared))
     values = {name: tables[name].values for name in declared}
     failure = _first_mismatch(
-        (f"n={n}, equation={name}", values[name][n], side)
+        (f"n={n}, equation={name}", tables[name][n], side)
         for system in (NONNESTING_231, NONCROSSING_231)
-        for n, name, side in right_sides(system, values, last)
+        for n, name, side in right_sides(system, values, order)
     )
     record(f"tail-difference identities, order {order}", failure)
 

@@ -82,6 +82,32 @@ def test_value_type_contract(cls, args, text, hashable, invalid):
             cls(*bad)
 
 
+# each value built from a list, a generator or a dict holding a zero, its
+# twin built from tuples, and whether the type is hashable
+NORMALISED = [
+    (Word([1, 2, 2, 1]), Word((1, 2, 2, 1)), True),
+    (Pattern(c for c in (2, 3, 1)), Pattern((2, 3, 1)), True),
+    (SequenceTable("p231", [1, 1, 2], 0), SequenceTable("p231", (1, 1, 2), 0), True),
+    (TruncatedSeries(c for c in (1, Fraction(1, 2))), TruncatedSeries((1, Fraction(1, 2))), True),
+    (IntPolynomial([1, 2, 0]), IntPolynomial((1, 2)), True),
+    (BivariatePolynomial({(0, 1): 2, (1, 0): 0}), BivariatePolynomial({(0, 1): 2}), False),
+]
+
+
+@pytest.mark.parametrize(
+    "value, twin, hashable", NORMALISED, ids=[type(row[0]).__name__ for row in NORMALISED]
+)
+def test_arguments_are_normalised_before_they_are_stored(value, twin, hashable):
+    assert value == twin
+    assert repr(value) == repr(twin)  # a list would print as [...], not (...)
+    if hashable:
+        assert hash(value) == hash(twin)
+    else:
+        for unhashable in (value, twin):
+            with pytest.raises(TypeError):
+                hash(unhashable)
+
+
 def test_cli_parser_builds_without_dataclasses_or_inspect():
     # inspect alone is about 7 ms of every CLI start, ast/dis/tokenize included
     probe = (

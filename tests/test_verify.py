@@ -130,6 +130,19 @@ def test_equation_check_reads_the_tables_family_table_builds(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_table_that_ends_early_fails_the_checks_it_cannot_cover(family):
+    # cut to half its quick range: index 10 of 20, or index 2 of the oracle's 4
+    closed = FAMILIES[family].closed_form is not None
+    table = family_table(family, 4 if closed else 20)
+    cut = table.last_index // 2
+    short = SequenceTable(family, table.values[: cut + 1 - table.first_index], table.first_index)
+    failed = [r for r in run_verification(Level.QUICK, tables={family: short}) if not r.passed]
+    assert (ORACLE_122 if closed else EQUATIONS) in [r.name for r in failed]
+    missing = f"index {cut + 1} outside table range [{table.first_index}, {cut}] of {family!r}"
+    assert [r.detail for r in failed] == [missing] * len(failed)
+
+
 def test_window_traffic_check():
     assert window_traffic_ok(Word.parse("1221"))
     assert window_traffic_ok(Word(()))
