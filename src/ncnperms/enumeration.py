@@ -179,19 +179,16 @@ def count_by_constraint(
     equality = [_equality_class(pattern) for pattern in patterns]
     classes = list(dict.fromkeys(cls for cls, _ in equality))
     plans = [(classes.index(cls), tuple(zip(order, order[1:]))) for cls, order in equality]
-    totals = {key: dict.fromkeys(Constraint, 0) for key in families}
+    # four counts per family, in tuple(Constraint) order: NONE, FIRST_IS_1,
+    # LAST_IS_N, BOTH, so that no Constraint is hashed per shape
+    totals = [[0] * len(Constraint) for _ in families]
     less, has = _labeling_masks(n)
     everything = (1 << math.factorial(n)) - 1
     first = has[0][1] if n else 0  # arc 0 opens at position 1
     for pairs in shapes(n, discipline):
         # the arc closing at position 2n holds the last entry
         last = next((has[k][n] for k, (_, closer) in enumerate(pairs) if closer == 2 * n), 0)
-        within = {
-            Constraint.NONE: everything,
-            Constraint.FIRST_IS_1: first,
-            Constraint.LAST_IS_N: last,
-            Constraint.BOTH: first & last,
-        }
+        within = (everything, first, last, first & last)
         fits = [list(occurrence_arcs(cls, pairs)) for cls in classes]
         contained = [0] * len(patterns)
         for i, (c, steps) in enumerate(plans):
@@ -200,8 +197,9 @@ def count_by_constraint(
                 for j, k in steps:
                     rising &= less[arcs[j]][arcs[k]]
                 contained[i] |= rising
-        for counts, family in zip(totals.values(), members):
+        for counts, family in zip(totals, members):
             avoiding = everything & ~reduce(or_, (contained[i] for i in family), 0)
-            for constraint, mask in within.items():
-                counts[constraint] += (avoiding & mask).bit_count()
-    return totals if several else totals[None]
+            for c, mask in enumerate(within):
+                counts[c] += (avoiding & mask).bit_count()
+    results = {key: dict(zip(Constraint, counts)) for key, counts in zip(families, totals)}
+    return results if several else results[None]

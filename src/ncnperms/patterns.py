@@ -123,7 +123,9 @@ def contains(word: Word, pattern: Pattern) -> bool:
                 else:
                     lower = matched[lo] if lo >= 0 else 0
                     upper = matched[hi] if hi >= 0 else top
-                scan = iter(range(pos + 1, slack + k + 1))
+                # with no integer strictly between the bounds, no entry can
+                # match: skip the scan and step back at once
+                scan = iter(range(pos + 1, slack + k + 1) if upper - lower > 1 else ())
                 break
         else:
             if not k:
