@@ -5,7 +5,10 @@ fixed integer polynomial (the radicand); the smallest positive root of that
 polynomial is the dominant singularity, and its reciprocal the exponential
 growth rate of the counting sequence.  Everything here evaluates the
 polynomial at exact rational points, so a returned bracket is a certificate:
-the endpoints really do have opposite signs.  Floating point appears nowhere;
+the endpoints really do have opposite signs.  The bisection keeps each point
+as an integer over a power of two and takes its sign from the integer
+b^d p(a/b), so it visits the points a ``Fraction`` bisection would and
+returns the same certified bracket.  Floating point appears nowhere;
 decimals are rendered from exact data at the very end.
 """
 
@@ -16,7 +19,7 @@ import sys
 from fractions import Fraction
 
 from .core import Discipline, Immutable, ValidationError
-from .recurrences import SequenceTable, horner
+from .recurrences import SequenceTable
 
 MAX_SCAN_SUBDIVISIONS = 40
 MAX_GROWTH_PLACES = 60  # growth_rate refuses a tolerance finer than 10**-60
@@ -51,14 +54,24 @@ class IntPolynomial(Immutable):
         return len(self.coefficients) - 1
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        """The value at x = a/b: one integer Horner pass at a over the
-        coefficients c_i b^(d-i), then a single division by b^d."""
+        """The value at x = a/b: the integer b^d p(a/b) of ``_homogenised``,
+        then a single division by b^d."""
         if self.is_zero:
             return Fraction(0)
         x = Fraction(x)
-        d = self.degree
-        scaled = [c * x.denominator ** (d - i) for i, c in enumerate(self.coefficients)]
-        return Fraction(horner(scaled, x.numerator), x.denominator**d)
+        value = _homogenised(self.coefficients, x.numerator, x.denominator)
+        return Fraction(value, x.denominator**self.degree)
+
+
+def _homogenised(coefficients: tuple[int, ...], a: int, b: int) -> int:
+    """b^d p(a/b) for the degree-d polynomial p with ``coefficients``, the sum
+    of c_i a^i b^(d-i), by one Horner pass at a whose coefficients pick up a
+    power of b each step.  For b > 0 it has the sign of p(a/b)."""
+    value, power = 0, 1
+    for coefficient in reversed(coefficients):
+        value = value * a + coefficient * power
+        power *= b
+    return value
 
 
 class DecimalApprox(Immutable):
@@ -129,9 +142,10 @@ def format_decimal(value: Fraction, places: int) -> str:
 
 
 def _places_for(tolerance: Fraction) -> int:
-    places = 1
-    while Fraction(1, 10**places) > tolerance:
-        places += 1
+    """The smallest p >= 1 with 10^-p <= tolerance."""
+    places, scaled = 1, tolerance.numerator * 10
+    while scaled < tolerance.denominator:
+        places, scaled = places + 1, scaled * 10
     return places
 
 
@@ -176,32 +190,25 @@ def minimal_positive_root(
     notes = (f"divided out trivial factor x^{stripped}",) if stripped else ()
     places = _places_for(tolerance)
 
-    sign_at_zero = 1 if reduced.coefficients[0] > 0 else -1
+    positive_at_zero = reduced.coefficients[0] > 0
     subdivisions = 1
     while subdivisions <= MAX_SCAN_SUBDIVISIONS:
-        bracket = None
-        prev_x = Fraction(0)
         for t in range(1, subdivisions + 1):
             x = Fraction(t, subdivisions)
             v = reduced.evaluate(x)
             if v == 0:
                 return DecimalApprox(x, x, places, notes)
-            if (1 if v > 0 else -1) != sign_at_zero:
-                bracket = (prev_x, x)
-                break
-            prev_x = x
-        if bracket is not None:
-            lo, hi = bracket
-            while hi - lo > tolerance:
-                mid = (lo + hi) / 2
-                v = reduced.evaluate(mid)
-                if v == 0:
-                    return DecimalApprox(mid, mid, places, notes)
-                if (1 if v > 0 else -1) == sign_at_zero:
-                    lo = mid
-                else:
-                    hi = mid
-            return DecimalApprox(lo, hi, places, notes)
+            if (v > 0) != positive_at_zero:
+                # bisect [low/scale, (low + 1)/scale], scale a power of two
+                low, scale = t - 1, subdivisions
+                while tolerance.numerator * scale < tolerance.denominator:
+                    mid, scale = 2 * low + 1, 2 * scale
+                    v = _homogenised(reduced.coefficients, mid, scale)
+                    if v == 0:
+                        root = Fraction(mid, scale)
+                        return DecimalApprox(root, root, places, notes)
+                    low = mid if (v > 0) == positive_at_zero else mid - 1
+                return DecimalApprox(Fraction(low, scale), Fraction(low + 1, scale), places, notes)
         subdivisions *= 2
     raise RootNotFoundError(
         f"no sign change on (0, 1] scanning grids of up to {subdivisions // 2} subdivisions"

@@ -437,12 +437,14 @@ def _continued(
     """The tables ``names`` of ``system`` to index ``limit``, keyed in that
     order.  A table with a stored recurrence continues its ``seed`` by it;
     any other is extracted from its own equation, given the unrolled tables
-    that equation reads.  Each recurrence is unrolled at most once."""
+    that equation reads.  Each recurrence is unrolled at most once, and
+    with nothing to extract no extraction runs."""
     extracted = [name for name in names if name not in P_RECURSIVE]
     reads = {f for name in extracted for _, _, factors in system[name] for f in factors}
     needed = (reads | set(names)) & P_RECURSIVE.keys()
-    unrolled = {name: _unrolled(seed[name], limit) for name in needed}
-    tables = unrolled | _extracted({name: system[name] for name in extracted}, limit, unrolled)
+    tables = {name: _unrolled(seed[name], limit) for name in needed}
+    if extracted:
+        tables |= _extracted({name: system[name] for name in extracted}, limit, tables)
     return {name: tables[name] for name in names}
 
 

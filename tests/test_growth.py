@@ -2,12 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from ncnperms.core import Discipline, ValidationError
 from ncnperms.growth import (
+    MAX_SCAN_SUBDIVISIONS,
     DecimalApprox,
     IntPolynomial,
     RootNotFoundError,
+    _places_for,
     builtin_radicand,
     format_decimal,
     growth_rate,
@@ -130,6 +133,88 @@ def test_halving_tolerance_nests_the_bracket():
         current = minimal_positive_root(radicand, tolerance)
         assert previous.low <= current.low and current.high <= previous.high
         previous = current
+
+
+def _fraction_bracket(polynomial, tolerance):
+    """The grid scan and bisection on Fractions, the reference for the
+    integer bisection: the bracket (low, high), or RootNotFoundError."""
+    coefficients = polynomial.coefficients
+    reduced = IntPolynomial(coefficients[next(i for i, c in enumerate(coefficients) if c) :])
+    positive_at_zero = reduced.coefficients[0] > 0
+    subdivisions = 1
+    while subdivisions <= MAX_SCAN_SUBDIVISIONS:
+        for t in range(1, subdivisions + 1):
+            lo, hi = Fraction(t - 1, subdivisions), Fraction(t, subdivisions)
+            v = reduced.evaluate(hi)
+            if v == 0:
+                return hi, hi
+            if (v > 0) != positive_at_zero:
+                while hi - lo > tolerance:
+                    mid = (lo + hi) / 2
+                    v = reduced.evaluate(mid)
+                    if v == 0:
+                        return mid, mid
+                    lo, hi = (mid, hi) if (v > 0) == positive_at_zero else (lo, mid)
+                return lo, hi
+        subdivisions *= 2
+    raise RootNotFoundError
+
+
+def _places_by_fractions(tolerance):
+    places = 1
+    while Fraction(1, 10**places) > tolerance:
+        places += 1
+    return places
+
+
+@pytest.mark.parametrize("places", range(1, 61))
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_integer_bisection_returns_the_fraction_bracket(discipline, places):
+    radicand = builtin_radicand(discipline)
+    tolerance = Fraction(1, 10**places)
+    approx = minimal_positive_root(radicand, tolerance)
+    assert (approx.low, approx.high) == _fraction_bracket(radicand, tolerance)
+    assert approx.places == places
+
+
+@pytest.mark.parametrize(
+    "coefficients, root",
+    [((-1, 2), Fraction(1, 2)), ((-3, 8), Fraction(3, 8))],  # grid point, bisection midpoint
+)
+def test_integer_bisection_stops_on_an_exact_root(coefficients, root):
+    approx = minimal_positive_root(IntPolynomial(coefficients), Fraction(1, 10**9))
+    assert approx.low == approx.high == root
+    assert _fraction_bracket(IntPolynomial(coefficients), Fraction(1, 10**9)) == (root, root)
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=2, max_size=9).filter(any),
+    st.fractions(Fraction(1, 10**40), Fraction(2)),
+)
+@example([1, 0, 1], Fraction(1, 100))  # x^2 + 1, no root
+@example([0, 0, -3, 8], Fraction(1, 10**6))
+@example([-1, 3], Fraction(1, 64))  # a tolerance the bracket width can equal
+def test_integer_bisection_matches_fractions_on_any_polynomial(coefficients, tolerance):
+    polynomial = IntPolynomial(tuple(coefficients))
+    try:
+        expected = _fraction_bracket(polynomial, tolerance)
+    except RootNotFoundError:
+        with pytest.raises(RootNotFoundError):
+            minimal_positive_root(polynomial, tolerance)
+        return
+    approx = minimal_positive_root(polynomial, tolerance)
+    assert (approx.low, approx.high) == expected
+    assert approx.places == _places_by_fractions(tolerance)
+
+
+def test_places_match_the_fraction_count_over_growth_tolerances():
+    tolerances = [Fraction(1, 10**p) for p in range(61)]
+    tolerances += [t * Fraction(k, 7) for t in tolerances for k in (6, 8)]
+    tolerances += [Fraction(1, 10**p + 1) for p in range(61)]
+    tolerances += [Fraction(1, 10**p - 1) for p in range(1, 61)]
+    for tolerance in tolerances:
+        if Fraction(1, 10**60) <= tolerance <= 1:
+            assert _places_for(tolerance) == _places_by_fractions(tolerance), tolerance
 
 
 def test_root_not_found():
