@@ -7,9 +7,11 @@ growth rate of the counting sequence.  Everything here evaluates the
 polynomial at exact rational points, so a returned bracket is a certificate:
 the endpoints really do have opposite signs.  The bisection keeps each point
 as an integer over a power of two and takes its sign from the integer
-b^d p(a/b), so it visits the points a ``Fraction`` bisection would and
-returns the same certified bracket.  Floating point appears nowhere;
-decimals are rendered from exact data at the very end.
+b^d p(a/b) of ``recurrences.horner``, the package's one Horner pass, which
+``IntPolynomial.evaluate`` divides by b^d.  So the bisection visits the
+points a ``Fraction`` bisection would and returns the same certified
+bracket.  Floating point appears nowhere; decimals are rendered from exact
+data at the very end.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from .core import Discipline, Immutable, ValidationError
-from .recurrences import SequenceTable
+from .recurrences import SequenceTable, horner
 
 MAX_SCAN_SUBDIVISIONS = 40
 MAX_GROWTH_PLACES = 60  # growth_rate refuses a tolerance finer than 10**-60
@@ -54,24 +56,13 @@ class IntPolynomial(Immutable):
         return len(self.coefficients) - 1
 
     def evaluate(self, x: RationalLike) -> Fraction:
-        """The value at x = a/b: the integer b^d p(a/b) of ``_homogenised``,
-        then a single division by b^d."""
+        """The value at x = a/b: the integer b^d p(a/b) from
+        ``recurrences.horner``, then a single division by b^d."""
         if self.is_zero:
             return Fraction(0)
         x = Fraction(x)
-        value = _homogenised(self.coefficients, x.numerator, x.denominator)
+        value = horner(self.coefficients, x.numerator, x.denominator)
         return Fraction(value, x.denominator**self.degree)
-
-
-def _homogenised(coefficients: tuple[int, ...], a: int, b: int) -> int:
-    """b^d p(a/b) for the degree-d polynomial p with ``coefficients``, the sum
-    of c_i a^i b^(d-i), by one Horner pass at a whose coefficients pick up a
-    power of b each step.  For b > 0 it has the sign of p(a/b)."""
-    value, power = 0, 1
-    for coefficient in reversed(coefficients):
-        value = value * a + coefficient * power
-        power *= b
-    return value
 
 
 class DecimalApprox(Immutable):
@@ -203,7 +194,7 @@ def minimal_positive_root(
                 low, scale = t - 1, subdivisions
                 while tolerance.numerator * scale < tolerance.denominator:
                     mid, scale = 2 * low + 1, 2 * scale
-                    v = _homogenised(reduced.coefficients, mid, scale)
+                    v = horner(reduced.coefficients, mid, scale)
                     if v == 0:
                         root = Fraction(mid, scale)
                         return DecimalApprox(root, root, places, notes)
@@ -213,13 +204,6 @@ def minimal_positive_root(
     raise RootNotFoundError(
         f"no sign change on (0, 1] scanning grids of up to {subdivisions // 2} subdivisions"
     )
-
-
-def reciprocal_bracket(approx: DecimalApprox, places: int) -> DecimalApprox:
-    """Bracket of 1/x for x in the given bracket; needs a positive bracket."""
-    if approx.low <= 0:
-        raise RootNotFoundError("bracket touches 0; cannot take a reciprocal")
-    return DecimalApprox(1 / approx.high, 1 / approx.low, places, approx.notes)
 
 
 def growth_rate(
@@ -247,7 +231,7 @@ def growth_rate(
     # |d(1/x)| = dx / x^2, so this root tolerance propagates to the rate.
     root_tolerance = tolerance * coarse.low * coarse.low
     fine = minimal_positive_root(radicand, root_tolerance)
-    return reciprocal_bracket(fine, _places_for(tolerance))
+    return DecimalApprox(1 / fine.high, 1 / fine.low, _places_for(tolerance), fine.notes)
 
 
 def ratio(table: SequenceTable, n: int, decimal_places: int) -> DecimalApprox:

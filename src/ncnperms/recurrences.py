@@ -17,9 +17,11 @@ stream of running sums over its forward differences, so a term of a
 degree-d recurrence costs d additions per coefficient, one C-level dot
 product of the r coefficients with the last r terms, and one exact
 division; r and r' continue from their own declared equations.
-``_continued`` does both for the systems, which return their tables keyed
-by family name, and for ``family_table``, which reads the same seed through
-its system but unrolls only the recurrences its family reads.
+``_continued`` does both for the systems, which share one body
+(``_system_tables``) and return their tables keyed by family name, and for
+``family_table``, which reads the same seed through its system but unrolls
+only the recurrences its family reads.  Up to the seed limit a system is
+its one extraction, so the seed costs ``family_table`` a single pass.
 The recurrences were found by guessing over the convolution tables, modular
 linear algebra plus rational reconstruction in the style of Kauers & Paule,
 *The Concrete Tetrahedron*, ch. 7; ``tests/guess_recurrences.py`` re-derives
@@ -44,7 +46,6 @@ the unconstrained counts have value 1 there, the empty word.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import accumulate, combinations, pairwise, repeat
 from operator import mul
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -367,11 +368,15 @@ P_RECURSIVE: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
-def horner(poly: Sequence[int], x: int | Fraction) -> int | Fraction:
-    """The polynomial with coefficients ``poly`` (constant first) at x."""
-    value = 0
-    for coefficient in reversed(poly):
-        value = value * x + coefficient
+def horner(coefficients: Sequence[int], a: int, b: int) -> int:
+    """b^d p(a/b) for the polynomial p with ``coefficients`` (constant first,
+    d = len(coefficients) - 1): the sum of c_i a^i b^(d-i), by one Horner
+    pass at a whose coefficients pick up a power of b each step.  With
+    b = 1 it is p(a); for b > 0 it has the sign of p(a/b)."""
+    value, power = 0, 1
+    for coefficient in reversed(coefficients):
+        value = value * a + coefficient * power
+        power *= b
     return value
 
 
@@ -381,7 +386,7 @@ def _stream(poly: Sequence[int], start: int) -> Iterator[int]:
     and d nested running sums over the constant d-th difference rebuild the
     values: d exact integer additions per term, all at C level."""
     heads = []
-    row = [horner(poly, start + i) for i in range(len(poly))]
+    row = [horner(poly, start + i, 1) for i in range(len(poly))]
     while row:
         heads.append(row[0])
         row = [b - a for a, b in pairwise(row)]
@@ -448,6 +453,15 @@ def _continued(
     return {name: tables[name] for name in names}
 
 
+def _system_tables(system: System, limit: int) -> dict[str, SequenceTable]:
+    """Every table of ``system`` to index ``limit``, keyed in declaration
+    order.  Up to the seed limit that is the convolution seed itself, from
+    one extraction; past it, ``_continued`` carries the seed on."""
+    cut = _seed_limit(system)
+    seed = _extracted(system, min(limit, cut))
+    return seed if limit <= cut else _continued(system, seed, list(system), limit)
+
+
 def nonnesting_231_system(limit: int) -> dict[str, SequenceTable]:
     """The tables p231, q231, r231 and rprime231 to index ``limit``, counting
     231-avoiding non-nesting words, by name.
@@ -455,8 +469,7 @@ def nonnesting_231_system(limit: int) -> dict[str, SequenceTable]:
     The convolution system supplies the first terms, p and q continue by
     their stored recurrences, and r and r' by their own equations.
     """
-    seed = _extracted(NONNESTING_231, min(limit, _seed_limit(NONNESTING_231)))
-    return _continued(NONNESTING_231, seed, list(NONNESTING_231), limit)
+    return _system_tables(NONNESTING_231, limit)
 
 
 def noncrossing_231_system(limit: int) -> dict[str, SequenceTable]:
@@ -464,8 +477,7 @@ def noncrossing_231_system(limit: int) -> dict[str, SequenceTable]:
     231-avoiding non-crossing words, by name: the convolution system
     supplies the first terms, and both tables continue by their stored
     recurrences."""
-    seed = _extracted(NONCROSSING_231, min(limit, _seed_limit(NONCROSSING_231)))
-    return _continued(NONCROSSING_231, seed, list(NONCROSSING_231), limit)
+    return _system_tables(NONCROSSING_231, limit)
 
 
 def qbar_via_compositions(limit: int) -> SequenceTable:

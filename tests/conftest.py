@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from typing import Iterator
 
 
@@ -41,3 +42,18 @@ def arcs_cross(p: tuple[int, int], q: tuple[int, int]) -> bool:
 def arcs_nest(p: tuple[int, int], q: tuple[int, int]) -> bool:
     (a, b), (c, d) = p, q
     return a < c < d < b or c < a < b < d
+
+
+def decoded(fmt: str, text: str) -> tuple[str | None, list[tuple[int, int]]]:
+    """The name and the (index, value) rows of a table emitted as b-file,
+    CSV or JSON text, read back with ``str.split`` and ``int`` or with
+    ``json.loads``.  The b-file and CSV forms carry no name, so it is None
+    there, and a CSV must open with its "n,value" header."""
+    if fmt == "json":
+        obj = json.loads(text)
+        return obj["name"], list(enumerate(map(int, obj["values"]), obj["offset"]))
+    lines = text.splitlines()
+    if fmt == "csv":
+        assert lines.pop(0) == "n,value"
+    sep = "," if fmt == "csv" else None
+    return None, [tuple(map(int, line.split(sep))) for line in lines]

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from ncnperms.core import Discipline
 from ncnperms.enumeration import Constraint, count_by_constraint
-from ncnperms.formats import parse_bfile, to_bfile
+from ncnperms.formats import to_bfile
 from ncnperms.growth import builtin_radicand, growth_rate, minimal_positive_root, ratio
 from ncnperms.patterns import Pattern, contains
 from ncnperms.recurrences import (
@@ -27,6 +27,8 @@ from ncnperms.verify import (
     window_traffic_ok,
 )
 from ncnperms.enumeration import labeled_words
+
+from conftest import decoded
 
 P231 = Pattern.parse("231")
 P122 = Pattern.parse("122")
@@ -167,7 +169,7 @@ def test_criterion_10_bfile_round_trip_all_families():
     with criterion(10, "b-file export/parse round trip at N = 50"):
         for family in FAMILIES:
             table = family_table(family, 50)
-            assert parse_bfile(to_bfile(table), name=family) == table
+            assert decoded("bfile", to_bfile(table)) == (None, list(table.items()))
 
 
 def test_criterion_11_oracle_equivalence_at_7():

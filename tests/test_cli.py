@@ -21,9 +21,11 @@ from ncnperms.cli import (
     build_parser,
     main,
 )
-from ncnperms.formats import parse_bfile, parse_csv, parse_json, to_bfile
+from ncnperms.formats import EMITTERS, to_bfile
 from ncnperms.recurrences import FAMILIES, family_table
 from ncnperms.verify import CheckResult
+
+from conftest import decoded
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -334,11 +336,11 @@ def test_provenance_names_the_family_route(capsys, family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_seq_formats_round_trip_every_family(capsys, family):
     table = family_table(family, 10)
-    for fmt, parse in (("bfile", parse_bfile), ("csv", parse_csv)):
+    for fmt, emit in EMITTERS.items():
         code, out, _ = run(capsys, "seq", family, "-N", "10", "--format", fmt)
-        assert code == EXIT_OK and parse(out, name=family) == table
-    code, out, _ = run(capsys, "seq", family, "-N", "10", "--format", "json")
-    assert code == EXIT_OK and parse_json(out) == table
+        assert code == EXIT_OK and out == emit(table)
+        name = family if fmt == "json" else None
+        assert decoded(fmt, out) == (name, list(table.items())), fmt
 
 
 def test_export_is_not_a_command(capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import guess_recurrences
+from ncnperms import recurrences
 from ncnperms.core import Discipline, ResourceLimitError, ValidationError
 from ncnperms.enumeration import Constraint, count_by_constraint
 from ncnperms.patterns import Pattern
@@ -192,6 +193,28 @@ def test_family_table_builds_one_family_as_the_system_does(family):
         assert family_table(family, limit) == system(limit)[family], limit
 
 
+#: Extraction passes behind family_table(family, 1000): one for the seed,
+#: and one more for a table that continues by its own equation.
+_EXTRACTIONS = {"p231": 1, "q231": 1, "r231": 2, "rprime231": 2, "pbar231": 1, "qbar231": 1}
+
+
+@pytest.mark.parametrize("family", sorted(_SYSTEMS))
+def test_family_table_extracts_the_seed_once(monkeypatch, family):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _extracted(*args)
+
+    monkeypatch.setattr(recurrences, "_extracted", counted)
+    family_table(family, 1000)
+    assert len(calls) == _EXTRACTIONS[family]
+    # up to its seed limit (9 for either system) a system is one extraction
+    calls.clear()
+    _SYSTEMS[family](9)
+    assert len(calls) == 1
+
+
 def _bump_recurrence(monkeypatch, family):
     # adds 1 to the constant of c_1, so the first unrolled term (shift n = 0)
     # gains a(1) = 1 and the exact division by c_r(0) leaves a remainder
@@ -266,7 +289,7 @@ def test_every_stored_polynomial_streams_its_horner_values():
     for family, recurrence in P_RECURSIVE.items():
         for poly in recurrence:
             streamed = list(islice(_stream(poly, 0), 2001))
-            assert streamed == [horner(poly, n) for n in range(2001)], family
+            assert streamed == [horner(poly, n, 1) for n in range(2001)], family
 
 
 @given(
@@ -279,7 +302,7 @@ def test_every_stored_polynomial_streams_its_horner_values():
 def test_stream_matches_horner(poly, start, count):
     # degree 0 to 6, from any start; the stream yields what Horner gives
     streamed = list(islice(_stream(poly, start), count))
-    assert streamed == [horner(poly, start + i) for i in range(count)]
+    assert streamed == [horner(poly, start + i, 1) for i in range(count)]
 
 
 def test_stored_recurrences_are_rederived_from_the_convolution_tables():
