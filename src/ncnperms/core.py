@@ -101,12 +101,10 @@ class Word(Immutable):
 
     # validation stays a method of its own: perfbench traces it as core.word
     def __init__(self, entries: tuple[int, ...]) -> None:
-        object.__setattr__(self, "entries", entries)
-        self.__post_init__()
+        self.__post_init__(entries)
 
-    def __post_init__(self) -> None:
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __post_init__(self, entries: tuple[int, ...]) -> None:
+        entries = tuple(entries)
         if len(entries) % 2:
             raise ValidationError(f"word length must be even, got {len(entries)}")
         n = len(entries) // 2
@@ -118,6 +116,7 @@ class Word(Immutable):
             raise ValidationError(
                 f"word entries must use each label 1..{n} exactly twice, got {entries}"
             )
+        object.__setattr__(self, "entries", entries)
 
     @property
     def semilength(self) -> int:

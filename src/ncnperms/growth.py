@@ -93,10 +93,6 @@ class DecimalApprox(Immutable):
         object.__setattr__(self, "notes", notes)
 
     @property
-    def width(self) -> Fraction:
-        return self.high - self.low
-
-    @property
     def value(self) -> str:
         mid = (self.low + self.high) / 2
         return format_decimal(mid, self.places)

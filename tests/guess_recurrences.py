@@ -16,6 +16,11 @@ sequences themselves are extracted from the declared convolution systems
 ``recurrences.NONNESTING_231`` and ``NONCROSSING_231`` by the one extraction
 ``recurrences._extracted``, the reference route.
 
+A longer recurrence can have far smaller coefficients.  qbar231 has one of
+shape (10, 4) with 34-digit coefficients and one of shape (15, 3) under
+10^10, which is stored: it unrolls no slower, and its c_0 is zero, being an
+order-14 recurrence that fails at n = 0, shifted by one index.
+
 Run as a script, it prints the table to store:
 
     PYTHONPATH=src python tests/guess_recurrences.py
@@ -33,7 +38,7 @@ SHAPES = {
     "p231": (14, 2),
     "q231": (15, 2),
     "pbar231": (10, 4),
-    "qbar231": (10, 4),
+    "qbar231": (15, 3),
 }
 
 SURPLUS = 12  # equations beyond the rank a 1-dimensional kernel needs

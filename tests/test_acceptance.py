@@ -141,7 +141,7 @@ def test_criterion_07_growth_roots_and_rates():
         ]
         for disc, root_text, tolerance, rate_text in cases:
             approx = minimal_positive_root(builtin_radicand(disc), tolerance)
-            assert approx.width <= tolerance
+            assert approx.high - approx.low <= tolerance
             mid = (approx.low + approx.high) / 2
             assert abs(mid - Fraction(root_text)) <= tolerance
             rate = growth_rate(disc, Fraction(1, 1000))

@@ -114,7 +114,7 @@ def test_root_excludes_trivial_factor():
 )
 def test_builtin_radicand_roots(discipline, target, tolerance):
     approx = minimal_positive_root(builtin_radicand(discipline), tolerance)
-    assert approx.width <= tolerance
+    assert approx.high - approx.low <= tolerance
     mid = (approx.low + approx.high) / 2
     assert abs(mid - Fraction(target)) <= tolerance
 
@@ -241,7 +241,7 @@ def test_growth_rates(discipline, target):
     approx = growth_rate(discipline, Fraction(1, 1000))
     mid = (approx.low + approx.high) / 2
     assert abs(mid - Fraction(target)) <= Fraction(1, 1000)
-    assert approx.width <= Fraction(1, 1000)
+    assert approx.high - approx.low <= Fraction(1, 1000)
 
 
 def test_growth_rate_value_rendering():

@@ -1,6 +1,8 @@
 """Every public top-level function and class of the package is reached from
-the package itself: exported, named by another module, or used in its own.
-A name that only tests call belongs in ``tests/``."""
+the package itself: exported, named by another module, or used in its own;
+and every public method or property of a package class is read by name
+somewhere in the package.  A name that only tests call belongs in
+``tests/``."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,7 @@ from pathlib import Path
 import ncnperms
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ncnperms"
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def read_names(tree: ast.AST) -> set[str]:
@@ -36,11 +39,10 @@ def read_names(tree: ast.AST) -> set[str]:
 
 
 def test_no_public_name_is_reached_only_from_tests():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    reads = {stem: read_names(tree) for stem, tree in trees.items()}
+    reads = {stem: read_names(tree) for stem, tree in TREES.items()}
     unreached = [
         f"{stem}.{node.name}"
-        for stem, tree in trees.items()
+        for stem, tree in TREES.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
@@ -49,5 +51,27 @@ def test_no_public_name_is_reached_only_from_tests():
         and not any(
             f"{stem}.{node.name}" in reads[other] for other in reads if other not in (stem, "__init__")
         )
+    ]
+    assert unreached == []
+
+
+def test_no_public_method_is_reached_only_from_tests():
+    # a method is read as an attribute (``approx.value``) or, passed along
+    # unbound, as a bare name; which object it is read from is not tracked
+    read = {
+        node.attr if isinstance(node, ast.Attribute) else node.id
+        for tree in TREES.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+    }
+    unreached = [
+        f"{stem}.{cls.name}.{node.name}"
+        for stem, tree in TREES.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in read
     ]
     assert unreached == []

@@ -16,6 +16,7 @@ from ncnperms.recurrences import (
     P_RECURSIVE,
     SequenceTable,
     _extracted,
+    _seed_limit,
     _stream,
     catalan,
     family_table,
@@ -187,7 +188,8 @@ _SYSTEMS = {
 @pytest.mark.parametrize("family", sorted(_SYSTEMS))
 def test_family_table_builds_one_family_as_the_system_does(family):
     # family_table unrolls only the recurrence its family needs; every limit
-    # across the handover (orders 10 and 15) and the certified limit agree
+    # across the handover (index 14 for either system) and the certified
+    # limit agree
     system = _SYSTEMS[family]
     for limit in [*range(18), 1000]:
         assert family_table(family, limit) == system(limit)[family], limit
@@ -209,15 +211,16 @@ def test_family_table_extracts_the_seed_once(monkeypatch, family):
     monkeypatch.setattr(recurrences, "_extracted", counted)
     family_table(family, 1000)
     assert len(calls) == _EXTRACTIONS[family]
-    # up to its seed limit (9 for either system) a system is one extraction
+    # up to its seed limit a system is one extraction
     calls.clear()
-    _SYSTEMS[family](9)
+    system = NONCROSSING_231 if family in NONCROSSING_231 else NONNESTING_231
+    _SYSTEMS[family](_seed_limit(system))
     assert len(calls) == 1
 
 
 def _bump_recurrence(monkeypatch, family):
-    # adds 1 to the constant of c_1, so the first unrolled term (shift n = 0)
-    # gains a(1) = 1 and the exact division by c_r(0) leaves a remainder
+    # adds 1 to the constant of c_1, so the first unrolled term, at shift s,
+    # gains a(s + 1) and the exact division by c_r(s) leaves a remainder
     c = P_RECURSIVE[family]
     monkeypatch.setitem(P_RECURSIVE, family, (c[0], (c[1][0] + 1,) + c[1][1:]) + c[2:])
 
@@ -253,36 +256,52 @@ def test_unroll_raises_on_a_remainder(monkeypatch):
     assert nonnesting_231_system(14) == _extracted(NONNESTING_231, 14)
 
 
+def _first_unrolled(family):
+    """The first index a non-crossing table unrolls, past the seed, and the
+    shift n of the recurrence that yields it."""
+    index = _seed_limit(NONCROSSING_231) + 1
+    return index, index - (len(P_RECURSIVE[family]) - 1)
+
+
 def test_unroll_raises_on_a_vanishing_leading_coefficient(monkeypatch):
-    # qbar231 has order 10; a leading polynomial n vanishes at its first
-    # unrolled term, index 10
+    # a leading polynomial n - s vanishes at the first unrolled shift s
+    index, shift = _first_unrolled("qbar231")
     c = P_RECURSIVE["qbar231"]
-    monkeypatch.setitem(P_RECURSIVE, "qbar231", c[:-1] + ((0, 1),))
-    with pytest.raises(ArithmeticError, match="qbar231.*vanishes at index 10"):
-        noncrossing_231_system(20)
+    monkeypatch.setitem(P_RECURSIVE, "qbar231", c[:-1] + ((-shift, 1),))
+    with pytest.raises(ArithmeticError, match=f"qbar231.*vanishes at index {index}$"):
+        noncrossing_231_system(index + 5)
 
 
 def test_unroll_raises_at_a_leading_root_past_the_first_unrolled_term(monkeypatch):
-    # multiplying every polynomial by (n - 5) keeps the recurrence true, so
-    # every division before shift 5 is exact; shift 5 is index 5 + 10
+    # multiplying every polynomial by (n - s - 5), s the first unrolled
+    # shift, keeps the recurrence true, so every division before shift s + 5
+    # is exact; shift s + 5 is 5 indices past the first unrolled one
+    index, shift = _first_unrolled("qbar231")
+    root = shift + 5
     shifted = tuple(
-        tuple(a - 5 * b for a, b in zip((0, *poly), (*poly, 0)))
+        tuple(a - root * b for a, b in zip((0, *poly), (*poly, 0)))
         for poly in P_RECURSIVE["qbar231"]
     )
     monkeypatch.setitem(P_RECURSIVE, "qbar231", shifted)
     with pytest.raises(
-        ArithmeticError, match="^qbar231: leading coefficient of the recurrence vanishes at index 15$"
+        ArithmeticError,
+        match=f"^qbar231: leading coefficient of the recurrence vanishes at index {index + 5}$",
     ):
-        noncrossing_231_system(20)
+        noncrossing_231_system(index + 10)
 
 
 def test_unroll_raises_at_a_remainder_past_the_first_unrolled_term(monkeypatch):
-    # adding n to c_0 adds nothing at shift 0, the first unrolled term, and
-    # n a(n) = a(1) = 1 at shift 1, index 1 + 10
+    # adding n - s to c_0 adds nothing at the first unrolled shift s, and
+    # (n - s) a(n) = a(s + 1) at shift s + 1, one index later, which the
+    # leading coefficient there does not divide
+    index, shift = _first_unrolled("pbar231")
     c = P_RECURSIVE["pbar231"]
-    monkeypatch.setitem(P_RECURSIVE, "pbar231", ((c[0][0], c[0][1] + 1, *c[0][2:]),) + c[1:])
-    with pytest.raises(ArithmeticError, match="^pbar231: recurrence leaves a remainder at index 11$"):
-        noncrossing_231_system(20)
+    bumped = (c[0][0] - shift, c[0][1] + 1, *c[0][2:])
+    monkeypatch.setitem(P_RECURSIVE, "pbar231", (bumped,) + c[1:])
+    with pytest.raises(
+        ArithmeticError, match=f"^pbar231: recurrence leaves a remainder at index {index + 1}$"
+    ):
+        noncrossing_231_system(index + 5)
 
 
 def test_every_stored_polynomial_streams_its_horner_values():
