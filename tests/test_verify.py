@@ -1,5 +1,4 @@
 import os
-import signal
 
 import pytest
 
@@ -146,86 +145,17 @@ def test_table_that_ends_early_fails_the_checks_it_cannot_cover(family):
     assert [r.detail for r in failed] == [missing] * len(failed)
 
 
-def _run_full(monkeypatch, cpus: int, **kwargs):
-    """run_verification(Level.FULL) with the CPU probe reading ``cpus``;
-    with one CPU, a call to os.fork fails the test."""
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
-    if cpus == 1:
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("the inline path forked"))
-    return run_verification(Level.FULL, **kwargs)
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def deadline():
-    """Fail a test that waits on a worker for more than a minute."""
-    def expire(signum, frame):
-        raise TimeoutError("still waiting for the verification worker")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "pbar231-bumped-at-5"])
-def test_forked_and_inline_full_runs_agree(monkeypatch, deadline, corrupt):
-    # pbar231[5] lies past the quick oracle's n <= 4; of the worker's checks
-    # only the full oracle sees it
+def test_full_oracle_catches_what_the_quick_oracle_cannot(monkeypatch, corrupt):
+    # pbar231[5] lies past the quick oracle's n <= 4; only the full oracle
+    # (n <= 6) sees it.  Every check runs in this process.
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("verify forked a process"))
     tables = {"pbar231": _bump(family_table("pbar231", 60), 5)} if corrupt else {}
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    forked = _run_full(monkeypatch, 2, tables=tables)
-    _assert_no_child_left()
-    assert forks == [1]
-    assert forked == _run_full(monkeypatch, 1, tables=tables)
-    failed = [(r.name, r.detail) for r in forked if not r.passed]
+    results = run_verification(Level.FULL, tables=tables)
+    failed = [(r.name, r.detail) for r in results if not r.passed]
     oracle = ("oracle vs non-crossing 231 tables, n<=6", "n=5, family=pbar231, expected 591, got 590")
     assert (oracle in failed) is corrupt
-
-
-def test_failed_fork_runs_the_checks_inline(monkeypatch):
-    def refuse():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    results = _run_full(monkeypatch, 2)
-    assert all(r.passed for r in results)
-    assert results == _run_full(monkeypatch, 1)
-
-
-def test_worker_is_killed_and_reaped_when_the_caller_raises(monkeypatch, deadline):
-    def broken(*args):
-        raise ValueError("series failed in the calling process")
-
-    monkeypatch.setattr(verify, "solve_algebraic", broken)
-    with pytest.raises(ValueError, match="calling process"):
-        _run_full(monkeypatch, 2)
-    _assert_no_child_left()
-
-
-@pytest.mark.parametrize("fault", ["raises", "exits"])
-def test_worker_failure_is_raised_not_passed(monkeypatch, deadline, fault):
-    caller = os.getpid()
-
-    def broken(n):
-        if os.getpid() == caller:
-            pytest.fail("the bijection check ran in the calling process")
-        if fault == "exits":
-            os._exit(3)
-        raise ValueError("bijection check failed in the worker")
-
-    monkeypatch.setattr(verify, "decreasing_labeling_is_unique_122_avoider", broken)
-    expected = "in the worker" if fault == "raises" else "ended without a result"
-    with pytest.raises(RuntimeError, match=expected):
-        _run_full(monkeypatch, 2)
-    _assert_no_child_left()
+    assert bool(failed) is corrupt
 
 
 def test_window_traffic_check():
