@@ -7,9 +7,12 @@ structure of avoiders: :func:`shapes` yields every matching the discipline
 allows, and every one of a shape's n! labelings is decided.
 :func:`count_by_constraint` decides them all at once, as bitsets over the
 labelings of one shape (bit i for the i-th labeling in ``permutations``
-order), and builds no word.  :func:`labeled_words` produces every word one
-at a time; with ``patterns.contains`` it is the deliberately independent
-per-word route that the structure checks in ``verify`` and the tests use.
+order), and builds no word.  :func:`avoiding_words` reads the avoiders off
+the same bitsets and builds only those words; the window check in
+``verify`` takes its 231-avoiders from it.  :func:`labeled_words` produces
+every word one at a time; with ``patterns.contains`` it is the deliberately
+independent per-word route that ``verify``'s 122-bijection check and the
+tests use.
 
 Shape and word streams are deterministic: the same call always yields the
 same sequence in the same order.
@@ -76,20 +79,26 @@ def shapes(n: int, discipline: Discipline) -> Iterator[Shape]:
     return walk(1, 0, ())
 
 
+def _words(pairs: Shape, labelings: Iterable[tuple[int, ...]]) -> Iterator[Word]:
+    """The words of one shape under the given labelings, in their order, the
+    k-th label going to both ends of the k-th arc.
+    """
+    slots = [0] * (2 * len(pairs))  # the index of the arc at each position
+    for k, (opener, closer) in enumerate(pairs):
+        slots[opener - 1] = slots[closer - 1] = k
+    for labels in labelings:
+        yield Word(tuple([labels[k] for k in slots]))
+
+
 def labeled_words(n: int, discipline: Discipline) -> Iterator[Word]:
     """Every non-crossing (or non-nesting) word of semilength n, exactly once.
 
-    Each of the C(n) shapes is labeled in all n! ways, the k-th label going
-    to both ends of the k-th arc, which yields the n! * C(n) words of the
-    family.
+    Each of the C(n) shapes is labeled in all n! ways, in ``permutations``
+    order, which yields the n! * C(n) words of the family.
     """
     labelings = list(permutations(range(1, n + 1)))
     for pairs in shapes(n, discipline):
-        entries = [0] * (2 * n)
-        for labels in labelings:
-            for (a, b), lab in zip(pairs, labels):
-                entries[a - 1] = entries[b - 1] = lab
-            yield Word(tuple(entries))
+        yield from _words(pairs, labelings)
 
 
 @cache
@@ -132,6 +141,57 @@ def _labeling_masks(n: int) -> tuple[tuple, tuple]:
     return less, tuple(has)
 
 
+def _check_size(n: int, cap: int) -> None:
+    if n < 0:
+        raise ValidationError("semilength must be non-negative")
+    if cap < 0:
+        raise ValidationError(f"enumeration cap must be non-negative, got {cap}")
+    if n > cap:
+        raise EnumerationCapError(
+            f"semilength {n} exceeds the enumeration cap {cap}; "
+            "use the recurrence tables instead"
+        )
+
+
+def _avoiding_masks(
+    n: int, discipline: Discipline, families: Iterable[tuple[Pattern, ...]]
+) -> Iterator[tuple[Shape, list[int]]]:
+    """Each shape of the discipline with, for each pattern set, the bitset of
+    its labelings that avoid every pattern of the set.
+
+    A pattern's equality class, its letters renumbered in order of first
+    occurrence (231, 132, ..., 321 all give 123), fits exactly the same
+    arcs, so per shape :func:`occurrence_arcs` runs once per class.  Each
+    pattern's "contains" bitset is then the OR, over the class's arc tuples
+    read in the pattern's own letter order, of the labelings rising along
+    the arcs; a set's avoiders are the labelings outside all its patterns'
+    bitsets.
+    """
+    families = list(families)
+    patterns = list(dict.fromkeys(p for family in families for p in family))
+    members = [[patterns.index(p) for p in family] for family in families]
+    # each pattern as the index of its class and the (j, k) index pairs into
+    # the class's arc tuples whose labels must rise, one pair per step from
+    # letter i to i+1
+    equality = [_equality_class(pattern) for pattern in patterns]
+    classes = list(dict.fromkeys(cls for cls, _ in equality))
+    plans = [(classes.index(cls), tuple(zip(order, order[1:]))) for cls, order in equality]
+    less, _ = _labeling_masks(n)
+    everything = (1 << math.factorial(n)) - 1
+    for pairs in shapes(n, discipline):
+        fits = [list(occurrence_arcs(cls, pairs)) for cls in classes]
+        contained = [0] * len(patterns)
+        for i, (c, steps) in enumerate(plans):
+            for arcs in fits[c]:
+                rising = everything
+                for j, k in steps:
+                    rising &= less[arcs[j]][arcs[k]]
+                contained[i] |= rising
+        yield pairs, [
+            everything & ~reduce(or_, (contained[i] for i in family), 0) for family in members
+        ]
+
+
 def count_by_constraint(
     n: int,
     discipline: Discipline,
@@ -143,13 +203,9 @@ def count_by_constraint(
 
     ``forbidden`` is one set of patterns, giving ``{constraint: count}``, or a
     mapping from keys to several sets, giving ``{key: {constraint: count}}``
-    for every set.  A pattern's equality class, its letters renumbered in
-    order of first occurrence (231, 132, ..., 321 all give 123), fits
-    exactly the same arcs, so per shape :func:`occurrence_arcs` runs once
-    per class.  Each pattern's "contains" bitset is then the OR, over the
-    class's arc tuples read in the pattern's own letter order, of the
-    labelings rising along the arcs; a set's avoiders are the labelings
-    outside all its patterns' bitsets.
+    for every set.  Every set's avoiders are read off one pass over the
+    shapes, which searches each pattern class's arc maps once per shape
+    (see :func:`_avoiding_masks`).
 
     Raises EnumerationCapError beyond ``cap`` (default 7).  Each of the C(n)
     shapes ANDs and ORs n!-bit integers once per arc map of each pattern, so
@@ -157,49 +213,46 @@ def count_by_constraint(
     take about 0.25 s per discipline at n = 7 and 3 s at n = 8 on a
     2-vCPU machine with Python 3.11.
     """
-    if n < 0:
-        raise ValidationError("semilength must be non-negative")
-    if cap < 0:
-        raise ValidationError(f"enumeration cap must be non-negative, got {cap}")
-    if n > cap:
-        raise EnumerationCapError(
-            f"semilength {n} exceeds the enumeration cap {cap}; "
-            "use the recurrence tables instead"
-        )
+    _check_size(n, cap)
     several = isinstance(forbidden, Mapping)
     families = {
         key: tuple(family)
         for key, family in (forbidden.items() if several else [(None, forbidden)])
     }
-    patterns = list(dict.fromkeys(p for family in families.values() for p in family))
-    members = [[patterns.index(p) for p in family] for family in families.values()]
-    # each pattern as the index of its class and the (j, k) index pairs into
-    # the class's arc tuples whose labels must rise, one pair per step from
-    # letter i to i+1
-    equality = [_equality_class(pattern) for pattern in patterns]
-    classes = list(dict.fromkeys(cls for cls, _ in equality))
-    plans = [(classes.index(cls), tuple(zip(order, order[1:]))) for cls, order in equality]
     # four counts per family, in tuple(Constraint) order: NONE, FIRST_IS_1,
     # LAST_IS_N, BOTH, so that no Constraint is hashed per shape
     totals = [[0] * len(Constraint) for _ in families]
-    less, has = _labeling_masks(n)
+    _, has = _labeling_masks(n)
     everything = (1 << math.factorial(n)) - 1
     first = has[0][1] if n else 0  # arc 0 opens at position 1
-    for pairs in shapes(n, discipline):
+    for pairs, avoiding in _avoiding_masks(n, discipline, families.values()):
         # the arc closing at position 2n holds the last entry
         last = next((has[k][n] for k, (_, closer) in enumerate(pairs) if closer == 2 * n), 0)
         within = (everything, first, last, first & last)
-        fits = [list(occurrence_arcs(cls, pairs)) for cls in classes]
-        contained = [0] * len(patterns)
-        for i, (c, steps) in enumerate(plans):
-            for arcs in fits[c]:
-                rising = everything
-                for j, k in steps:
-                    rising &= less[arcs[j]][arcs[k]]
-                contained[i] |= rising
-        for counts, family in zip(totals, members):
-            avoiding = everything & ~reduce(or_, (contained[i] for i in family), 0)
+        for counts, avoiders in zip(totals, avoiding):
             for c, mask in enumerate(within):
-                counts[c] += (avoiding & mask).bit_count()
+                counts[c] += (avoiders & mask).bit_count()
     results = {key: dict(zip(Constraint, counts)) for key, counts in zip(families, totals)}
     return results if several else results[None]
+
+
+def avoiding_words(
+    n: int, discipline: Discipline, forbidden: Iterable[Pattern]
+) -> Iterator[Word]:
+    """The words of ``labeled_words(n, discipline)`` that avoid every pattern
+    of ``forbidden``, in the same order.
+
+    Each shape's avoiders come from the bitsets :func:`count_by_constraint`
+    counts, read lowest bit first, which is ``permutations`` order, so only
+    the avoiders are ever built as words.  Raises EnumerationCapError beyond
+    ``ENUMERATION_CAP``.
+    """
+    _check_size(n, ENUMERATION_CAP)
+    labelings = list(permutations(range(1, n + 1)))
+    for pairs, (avoiders,) in _avoiding_masks(n, discipline, [tuple(forbidden)]):
+        chosen = []
+        while avoiders:
+            low = avoiders & -avoiders
+            chosen.append(labelings[low.bit_length() - 1])
+            avoiders ^= low
+        yield from _words(pairs, chosen)

@@ -5,9 +5,11 @@ Routes compared: brute-force enumeration, the recurrence tables (convolution
 systems continued by P-recursive recurrences), the implicit-equation series
 solver, and the closed forms, each table built by ``family_table`` as ``seq``
 prints it.  On top of the value comparisons there are structural checks on
-the enumerated words themselves (what may happen inside the window spanned
-by the largest label, and which labelings of a non-crossing matching avoid
-122).
+the enumerated words themselves: what may happen inside the window spanned
+by the largest label, on the 231-avoiders that ``avoiding_words`` reads off
+the oracle's bitsets, and which labelings of a non-crossing matching avoid
+122, by the per-word route (every word, searched by ``patterns.contains``)
+against the closed form of one avoider per shape.
 
 Every check runs in the calling process, in a fixed order.
 """
@@ -20,7 +22,7 @@ from itertools import groupby
 from typing import Iterable, Mapping, NamedTuple
 
 from .core import Constraint, Discipline, Word
-from .enumeration import count_by_constraint, labeled_words
+from .enumeration import avoiding_words, count_by_constraint, labeled_words
 from .patterns import contains
 from .recurrences import (
     FAMILIES,
@@ -246,8 +248,7 @@ def run_verification(
         window_rows = (
             (f"{kind} violation at {word}", True, holds(word))
             for n in range(6)
-            for word in labeled_words(n, Discipline.NON_NESTING)
-            if not contains(word, PATTERN_231)
+            for word in avoiding_words(n, Discipline.NON_NESTING, (PATTERN_231,))
             for kind, holds in (("traffic", window_traffic_ok),
                                 ("extremes", window_extremes_ok))
         )

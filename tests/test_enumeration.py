@@ -5,14 +5,16 @@ import pytest
 
 from ncnperms.core import Discipline, ValidationError
 from ncnperms.enumeration import (
+    ENUMERATION_CAP,
     Constraint,
     EnumerationCapError,
+    avoiding_words,
     count_by_constraint,
     labeled_words,
     shapes,
 )
-from ncnperms.patterns import Pattern, avoids_all
-from ncnperms.recurrences import catalan
+from ncnperms.patterns import CROSSING, NESTING, Pattern, avoids_all
+from ncnperms.recurrences import FAMILIES, PATTERN_122, catalan
 
 from conftest import arcs_cross, arcs_nest
 
@@ -48,6 +50,8 @@ def test_dyck_words_rejects_negative():
             list(shapes(-1, disc))
         with pytest.raises(ValidationError):
             list(labeled_words(-1, disc))
+        with pytest.raises(ValidationError):
+            list(avoiding_words(-1, disc, P231))
 
 
 @pytest.mark.parametrize("discipline", list(Discipline))
@@ -194,6 +198,25 @@ def test_length3_census_at_n7():
                 assert counted[text][Constraint.NONE] == counts[column], (disc, text)
 
 
+#: each length-3 pattern alone, the crossing and the nesting pair, the set
+#: of every 122 family, and no pattern at all
+AVOIDED_SETS = (
+    [(Pattern.parse(text),) for orbit in CENSUS_AT_7 for text in orbit.split()]
+    + [tuple(CROSSING), tuple(NESTING)]
+    + [f.avoid for f in FAMILIES.values() if f.avoid[0] == PATTERN_122]
+    + [()]
+)
+
+
+@pytest.mark.parametrize("discipline", list(Discipline))
+def test_avoiding_words_are_the_filtered_labeled_words_in_order(discipline):
+    for n in range(6):
+        words = list(labeled_words(n, discipline))
+        for patterns in AVOIDED_SETS:
+            expected = [w for w in words if avoids_all(w, patterns)]
+            assert list(avoiding_words(n, discipline, patterns)) == expected, (n, patterns)
+
+
 @pytest.mark.parametrize("discipline", list(Discipline))
 def test_several_pattern_sets_from_one_pass(discipline):
     # sets share patterns, so a bitset reused across sets must not leak
@@ -225,6 +248,8 @@ def test_count_avoiders_baseline_is_factorial_times_catalan():
 def test_enumeration_cap():
     with pytest.raises(EnumerationCapError):
         count_by_constraint(8, Discipline.NON_NESTING, P231)
+    with pytest.raises(EnumerationCapError):
+        list(avoiding_words(ENUMERATION_CAP + 1, Discipline.NON_NESTING, P231))
     with pytest.raises(EnumerationCapError):
         count_by_constraint(5, Discipline.NON_NESTING, P231, cap=4)
     assert count_by_constraint(5, Discipline.NON_NESTING, P231, cap=5)[Constraint.NONE] == 367

@@ -5,7 +5,14 @@ import pytest
 from ncnperms import verify
 from ncnperms.core import Discipline, Word
 from ncnperms.enumeration import Constraint, count_by_constraint, labeled_words
-from ncnperms.recurrences import FAMILIES, PATTERN_122, SequenceTable, family_table
+from ncnperms.patterns import contains
+from ncnperms.recurrences import (
+    FAMILIES,
+    PATTERN_122,
+    PATTERN_231,
+    SequenceTable,
+    family_table,
+)
 from ncnperms.verify import (
     Level,
     decreasing_labeling_is_unique_122_avoider,
@@ -156,6 +163,26 @@ def test_full_oracle_catches_what_the_quick_oracle_cannot(monkeypatch, corrupt):
     oracle = ("oracle vs non-crossing 231 tables, n<=6", "n=5, family=pbar231, expected 591, got 590")
     assert (oracle in failed) is corrupt
     assert bool(failed) is corrupt
+
+
+def test_window_check_names_the_first_failing_231_avoider(monkeypatch):
+    # a predicate that rejects every word with a 3 at either end fails first
+    # on the earliest such 231-avoider in labeled_words order, n by n: the
+    # earliest such word, 3,1,2,3,1,2, contains 231, and the avoider 1,2,1,3,2,3
+    # comes before 3,1,3,2,1,2 among its shape's labelings
+    def has_3_at_an_end(word):
+        return 3 in word.entries[:1] + word.entries[-1:]
+
+    monkeypatch.setattr(verify, "window_extremes_ok", lambda word: not has_3_at_an_end(word))
+    first = next(
+        word
+        for n in range(6)
+        for word in labeled_words(n, Discipline.NON_NESTING)
+        if has_3_at_an_end(word) and not contains(word, PATTERN_231)
+    )
+    results = run_verification(Level.FULL)
+    window = next(r for r in results if r.name == "max-label window structure, n<=5")
+    assert window.detail == f"extremes violation at {first}"
 
 
 def test_window_traffic_check():
